@@ -40,7 +40,7 @@ export BLACKDP_BENCH_OUT="$PWD/$out"
   ./bench/sensitivity_sweep 3 --jobs "$jobs"
   ./bench/ablation_overhead --benchmark_min_time=0.01
   ./bench/micro_substrates --benchmark_min_time=0.01
-  ./bench/e2e_throughput --jobs "$jobs"
+  ./bench/e2e_throughput --jobs 1  # the committed baseline is --jobs 1
   ./bench/megacity --segments 8 --vehicles 800 --epochs 6 --jobs "$jobs" \
     --surfaces-out-a "$BLACKDP_BENCH_OUT"/megacity.shards1.txt \
     --surfaces-out-b "$BLACKDP_BENCH_OUT"/megacity.shards4.txt
@@ -113,35 +113,27 @@ if build/tools/soak_run --trials 1 --seed 1 --inject-violation --quiet \
 fi
 grep -q "replay: soak_run --seed" "$soaklog"
 
-echo "==== stream soak (checkpoint / kill / resume) ===="
-# Detector-as-a-service crash consistency. An uninterrupted checkpointed run
-# and a run killed between checkpoints then resumed must converge: identical
-# metrics JSON and a byte-identical final checkpoint. The recorded d_req
-# trace replayed through replay_serve must reproduce the recorded verdict
-# hash, and validate_bench_json.py audits the checkpoint manifest
-# (size + CRC-32 + envelope header per entry).
+echo "==== checkpointed soaks (kill / resume / chaos, both worlds) ===="
+# Crash consistency of both checkpointed worlds, one sequence for each (see
+# scripts/kill_resume_leg.sh): full checkpointed run + manifest audit, a run
+# killed between checkpoints then resumed, cmp of surfaces and final
+# checkpoint, three chaos kill/resume cycles.
+scripts/kill_resume_leg.sh "$out/stream" 25 --stream --epochs 40 \
+  --stream-seed 4242 --checkpoint-every 10 | tee -a "$soaklog"
+scripts/kill_resume_leg.sh "$out/megacity" 3 --megacity --segments 8 \
+  --vehicles 800 --shards 4 --epochs 6 --megacity-seed 4242 \
+  --checkpoint-every 2 --jobs "$jobs" | tee -a "$soaklog"
+
+echo "==== stream trace replay + flood ===="
+# Record the d_req trace of the 40-epoch stream run and replay it through
+# replay_serve; the verdict timeline must hash to the value the recording
+# run reported.
 streamdir="$out/stream"
-rm -rf "$streamdir" && mkdir -p "$streamdir"
 build/tools/soak_run --stream --epochs 40 --stream-seed 4242 \
-  --checkpoint-every 10 --checkpoint-dir "$streamdir/full" \
-  --trace "$streamdir/trace.jsonl" --json "$streamdir/metrics.full.json" \
-  --quiet
-python3 scripts/validate_bench_json.py "$streamdir/full/manifest.jsonl"
-# Kill after epoch 25 — between the epoch-20 and epoch-30 checkpoints — then
-# resume; the resumed run restarts from epoch 20 and must catch up exactly.
-build/tools/soak_run --stream --epochs 40 --stream-seed 4242 \
-  --checkpoint-every 10 --checkpoint-dir "$streamdir/cut" \
-  --stop-after 25 --quiet
-build/tools/soak_run --stream --epochs 40 --stream-seed 4242 \
-  --checkpoint-every 10 --checkpoint-dir "$streamdir/cut" \
-  --resume --json "$streamdir/metrics.resumed.json" --quiet
-cmp "$streamdir/metrics.full.json" "$streamdir/metrics.resumed.json"
-cmp "$streamdir/full/ckpt-000040.bdpc" "$streamdir/cut/ckpt-000040.bdpc"
-# Replay the recorded trace; the verdict timeline must hash to the same
-# value the recording run reported.
+  --trace "$streamdir/trace.jsonl" --json "$streamdir/metrics.json" --quiet
 expected_hash=$(python3 -c "import json, sys
 print(json.load(open(sys.argv[1]))['verdict_hash'])" \
-  "$streamdir/metrics.full.json")
+  "$streamdir/metrics.json")
 build/tools/replay_serve --trace "$streamdir/trace.jsonl" \
   --stream-seed 4242 --expect-hash "$expected_hash" \
   > "$streamdir/replay.log"
@@ -150,35 +142,4 @@ build/tools/replay_serve --trace "$streamdir/trace.jsonl" \
 build/tools/soak_run --stream --epochs 600 --stream-seed 7 --quiet \
   --json "$streamdir/metrics.flood.json" | tee -a "$soaklog"
 
-echo "==== megacity kill/resume smoke (sharded checkpoint crash consistency) ===="
-# The fault-tolerance gate for the sharded corridor: an 8-segment run killed
-# mid-run (between checkpoints) and resumed from its last complete BDPC
-# checkpoint must reproduce the uninterrupted run's deterministic surfaces
-# (metrics JSON + canonical log, dumped into one file per run) AND its final
-# checkpoint, byte for byte. The chaos leg repeats the cycle at hashed kill
-# epochs. megacity/replay.txt records the deterministic replay recipe and is
-# uploaded with the soak artifacts on failure.
-megadir="$out/megacity"
-rm -rf "$megadir" && mkdir -p "$megadir"
-mega_args=(--megacity --segments 8 --vehicles 800 --shards 4 --epochs 6
-           --megacity-seed 4242 --checkpoint-every 2 --jobs "$jobs" --quiet)
-echo "replay: soak_run --megacity --megacity-seed 4242 --segments 8 \
---vehicles 800 --shards 4 --epochs 6 --checkpoint-every 2" \
-  > "$megadir/replay.txt"
-build/tools/soak_run "${mega_args[@]}" --checkpoint-dir "$megadir/full" \
-  --surfaces-out "$megadir/surfaces.full.txt"
-python3 scripts/validate_bench_json.py "$megadir/full/manifest.jsonl"
-# Kill after epoch 3 — between the epoch-2 and epoch-4 checkpoints — then
-# resume; the resumed run restarts from epoch 2 and must catch up exactly.
-build/tools/soak_run "${mega_args[@]}" --checkpoint-dir "$megadir/cut" \
-  --stop-after 3
-build/tools/soak_run "${mega_args[@]}" --checkpoint-dir "$megadir/cut" \
-  --resume --surfaces-out "$megadir/surfaces.resumed.txt"
-cmp "$megadir/surfaces.full.txt" "$megadir/surfaces.resumed.txt"
-cmp "$megadir/full/ckpt-000006.bdpc" "$megadir/cut/ckpt-000006.bdpc"
-# Chaos leg: scripted kill/resume cycles at hashed epochs, each byte-compared
-# against an uninterrupted reference run in-process.
-build/tools/soak_run "${mega_args[@]}" --checkpoint-dir "$megadir/chaos" \
-  --chaos-kills 3 | tee -a "$soaklog"
-
-echo "CI: both configurations green, bench + campaign + soak + stream-soak + megacity validated."
+echo "CI: both configurations green, bench + campaign + soak + checkpointed soaks (stream + megacity) validated."

@@ -61,6 +61,16 @@ std::vector<const common::Bytes*> Checkpoint::findAll(CheckpointTag tag) const {
   return out;
 }
 
+common::ByteReader Checkpoint::section(CheckpointTag tag) const {
+  const common::Bytes* body = find(tag);
+  if (body == nullptr) {
+    throw std::invalid_argument{
+        "missing checkpoint section (tag " +
+        std::to_string(static_cast<std::uint16_t>(tag)) + ")"};
+  }
+  return common::ByteReader{*body};
+}
+
 void CheckpointBuilder::add(CheckpointTag tag, common::Bytes body) {
   sections_.push_back({static_cast<std::uint16_t>(tag), std::move(body)});
 }
@@ -128,6 +138,33 @@ common::Result<Checkpoint> decodeCheckpoint(
     return common::Error{"truncated", e.what()};
   } catch (const std::invalid_argument& e) {
     return common::Error{"malformed", e.what()};
+  }
+}
+
+common::Status restoreGuarded(
+    std::span<const std::uint8_t> blob, CheckpointTag metaTag,
+    std::uint64_t configHash, std::uint64_t seed,
+    const std::function<common::Status(const Checkpoint& checkpoint,
+                                       common::ByteReader& meta)>& apply) {
+  const auto decoded = decodeCheckpoint(blob);
+  if (!decoded.ok()) return decoded.error();
+  try {
+    common::ByteReader meta = decoded.value().section(metaTag);
+    if (meta.readU64() != configHash || meta.readU64() != seed) {
+      return common::Error{"config-mismatch",
+                           "checkpoint was written under a different "
+                           "configuration or seed"};
+    }
+    return apply(decoded.value(), meta);
+  } catch (const std::exception& e) {
+    return common::Error{"malformed", e.what()};
+  }
+}
+
+void expectConsumed(const common::ByteReader& reader, const char* section) {
+  if (!reader.exhausted()) {
+    throw std::invalid_argument{std::string{"trailing bytes in "} + section +
+                                " section"};
   }
 }
 

@@ -64,6 +64,10 @@ struct Checkpoint {
   /// Every section with `tag`, in file order (kCluster repeats per cluster).
   [[nodiscard]] std::vector<const common::Bytes*> findAll(
       CheckpointTag tag) const;
+  /// A reader over the first section with `tag`; throws
+  /// std::invalid_argument when there is none ("malformed" under
+  /// restoreGuarded).
+  [[nodiscard]] common::ByteReader section(CheckpointTag tag) const;
 };
 
 /// Accumulates sections and seals them into one enveloped blob.
@@ -90,6 +94,28 @@ class CheckpointBuilder {
 ///   "malformed"   structurally invalid (e.g. trailing bytes)
 [[nodiscard]] common::Result<Checkpoint> decodeCheckpoint(
     std::span<const std::uint8_t> bytes);
+
+/// The one restore policy of every checkpointed world, so hostile bytes
+/// always come back as a typed error and never escape as an exception:
+///   - envelope errors from decodeCheckpoint pass through unchanged;
+///   - a missing `metaTag` section is "malformed";
+///   - a meta section that does not open with the world's config hash and
+///     seed (two u64s) is "config-mismatch";
+///   - otherwise `apply` restores the sections, `meta` positioned after the
+///     seed, and its status is returned;
+///   - any exception `apply` throws is "malformed" with the exception's
+///     message, which covers a missing section (Checkpoint::section),
+///     trailing bytes (expectConsumed) and every ByteReader underrun.
+/// A failed restore may leave the world part-restored; discard it.
+[[nodiscard]] common::Status restoreGuarded(
+    std::span<const std::uint8_t> blob, CheckpointTag metaTag,
+    std::uint64_t configHash, std::uint64_t seed,
+    const std::function<common::Status(const Checkpoint& checkpoint,
+                                       common::ByteReader& meta)>& apply);
+
+/// Throws std::invalid_argument unless `reader` consumed its whole section
+/// ("malformed" under restoreGuarded); `section` names it in the message.
+void expectConsumed(const common::ByteReader& reader, const char* section);
 
 /// Writes `bytes` to `path` crash-consistently: the data goes to a
 /// temporary file in the same directory which is atomically renamed over

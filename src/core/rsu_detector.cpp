@@ -996,8 +996,10 @@ void RsuDetector::restoreState(common::ByteReader& r,
 
   completedTotal_ = r.readU64();
   completed_.clear();
+  // Every reserve sized by a wire count is capped by the bytes left: a
+  // hostile count must fail on its first underrun, not allocate first.
   const std::uint32_t recordCount = r.readU32();
-  completed_.reserve(recordCount);
+  completed_.reserve(std::min<std::size_t>(recordCount, r.remaining()));
   for (std::uint32_t i = 0; i < recordCount; ++i) {
     completed_.push_back(readRecord(r));
   }
@@ -1084,7 +1086,7 @@ void RsuDetector::restoreState(common::ByteReader& r,
 
   probeIdentityLog_.clear();
   const std::uint32_t logCount = r.readU32();
-  probeIdentityLog_.reserve(logCount);
+  probeIdentityLog_.reserve(std::min<std::size_t>(logCount, r.remaining()));
   for (std::uint32_t i = 0; i < logCount; ++i) {
     ProbeIdentity pi;
     pi.disposable = r.readId<common::Address>();

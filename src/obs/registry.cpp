@@ -1,5 +1,6 @@
 #include "obs/registry.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <utility>
 
@@ -254,13 +255,15 @@ Snapshot deserializeSnapshot(common::ByteReader& reader) {
   for (std::uint32_t i = 0; i < histograms; ++i) {
     const std::string name = reader.readString();
     Snapshot::HistogramData data;
+    // Reserves capped by the bytes left: a hostile count fails on its first
+    // underrun instead of allocating first.
     const std::uint32_t edges = reader.readU32();
-    data.edges.reserve(edges);
+    data.edges.reserve(std::min<std::size_t>(edges, reader.remaining()));
     for (std::uint32_t j = 0; j < edges; ++j) {
       data.edges.push_back(readF64(reader));
     }
     const std::uint32_t counts = reader.readU32();
-    data.counts.reserve(counts);
+    data.counts.reserve(std::min<std::size_t>(counts, reader.remaining()));
     for (std::uint32_t j = 0; j < counts; ++j) {
       data.counts.push_back(reader.readU64());
     }

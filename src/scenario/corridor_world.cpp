@@ -1,7 +1,6 @@
 #include "scenario/corridor_world.hpp"
 
 #include <algorithm>
-#include <exception>
 #include <stdexcept>
 #include <utility>
 
@@ -947,72 +946,51 @@ common::Status CorridorWorld::restoreCheckpoint(
     std::span<const std::uint8_t> blob) {
   BDP_ASSERT_MSG(sharded_->epoch() == 0 && !finished_,
                  "restore requires a freshly constructed world");
-  const auto malformed = [](const std::string& detail) {
-    return common::Status{common::Error{"malformed", detail}};
-  };
-  auto decoded = codec::decodeCheckpoint(blob);
-  if (!decoded.ok()) return common::Status{decoded.error()};
-  const codec::Checkpoint& checkpoint = decoded.value();
+  return codec::restoreGuarded(
+      blob, codec::CheckpointTag::kCorridorMeta, configHash(), config_.seed,
+      [this](const codec::Checkpoint& checkpoint,
+             common::ByteReader& meta) -> common::Status {
+        const std::uint32_t epoch = meta.readU32();
+        const std::uint32_t shardCount = meta.readU32();
+        const std::uint32_t segments = meta.readU32();
+        const std::uint32_t vehicles = meta.readU32();
+        codec::expectConsumed(meta, "corridor meta");
+        if (shardCount != plan_.shards() || segments != config_.segments ||
+            vehicles != config_.vehicles) {
+          return common::Error{
+              "config-mismatch",
+              "checkpoint was written under a different corridor config"};
+        }
 
-  const common::Bytes* meta =
-      checkpoint.find(codec::CheckpointTag::kCorridorMeta);
-  if (meta == nullptr) return malformed("missing corridor meta section");
-  std::uint32_t epoch = 0;
-  try {
-    common::ByteReader reader{*meta};
-    const std::uint64_t hash = reader.readU64();
-    const std::uint64_t seed = reader.readU64();
-    epoch = reader.readU32();
-    const std::uint32_t shardCount = reader.readU32();
-    const std::uint32_t segments = reader.readU32();
-    const std::uint32_t vehicles = reader.readU32();
-    if (!reader.exhausted()) return malformed("trailing meta bytes");
-    if (hash != configHash() || seed != config_.seed ||
-        shardCount != plan_.shards() || segments != config_.segments ||
-        vehicles != config_.vehicles) {
-      return common::Status{common::Error{
-          "config-mismatch",
-          "checkpoint was written under a different corridor config"}};
-    }
-  } catch (const std::exception&) {
-    return malformed("truncated corridor meta section");
-  }
-
-  const std::vector<const common::Bytes*> shardSections =
-      checkpoint.findAll(codec::CheckpointTag::kCorridorShard);
-  if (shardSections.size() != plan_.shards()) {
-    return malformed("shard section count does not match the plan");
-  }
-  try {
-    for (std::uint32_t s = 0; s < plan_.shards(); ++s) {
-      common::ByteReader reader{*shardSections[s]};
-      shards_[s]->restoreState(reader);
-      if (!reader.exhausted()) return malformed("trailing shard bytes");
-    }
-    const common::Bytes* exchange =
-        checkpoint.find(codec::CheckpointTag::kCorridorExchange);
-    if (exchange == nullptr) return malformed("missing exchange section");
-    common::ByteReader reader{*exchange};
-    const std::uint32_t count = reader.readU32();
-    if (count != plan_.shards()) {
-      return malformed("exchange inbox count does not match the plan");
-    }
-    std::vector<std::vector<shard::Envelope>> inboxes(count);
-    for (std::uint32_t s = 0; s < count; ++s) {
-      const std::uint32_t envelopes = reader.readU32();
-      for (std::uint32_t i = 0; i < envelopes; ++i) {
-        inboxes[s].push_back(shard::deserializeEnvelope(reader));
-      }
-    }
-    if (!reader.exhausted()) return malformed("trailing exchange bytes");
-    sharded_->restoreExchange(epoch, std::move(inboxes));
-  } catch (const std::exception& e) {
-    // ByteReader underruns (std::out_of_range), semantic cross-checks in
-    // restoreState, and allocation blow-ups on fuzzed counts all land here:
-    // typed error out, never UB. The world is torn and must be discarded.
-    return malformed(e.what());
-  }
-  return common::Status::success();
+        const std::vector<const common::Bytes*> shardSections =
+            checkpoint.findAll(codec::CheckpointTag::kCorridorShard);
+        if (shardSections.size() != plan_.shards()) {
+          return common::Error{"malformed",
+                               "shard section count does not match the plan"};
+        }
+        for (std::uint32_t s = 0; s < plan_.shards(); ++s) {
+          common::ByteReader reader{*shardSections[s]};
+          shards_[s]->restoreState(reader);
+          codec::expectConsumed(reader, "shard");
+        }
+        common::ByteReader exchange =
+            checkpoint.section(codec::CheckpointTag::kCorridorExchange);
+        const std::uint32_t count = exchange.readU32();
+        if (count != plan_.shards()) {
+          return common::Error{
+              "malformed", "exchange inbox count does not match the plan"};
+        }
+        std::vector<std::vector<shard::Envelope>> inboxes(count);
+        for (std::uint32_t s = 0; s < count; ++s) {
+          const std::uint32_t envelopes = exchange.readU32();
+          for (std::uint32_t i = 0; i < envelopes; ++i) {
+            inboxes[s].push_back(shard::deserializeEnvelope(exchange));
+          }
+        }
+        codec::expectConsumed(exchange, "exchange");
+        sharded_->restoreExchange(epoch, std::move(inboxes));
+        return common::Status::success();
+      });
 }
 
 std::uint64_t CorridorWorld::configHash() const {
@@ -1040,6 +1018,48 @@ void CorridorWorld::forEachSegment(
   // Shards hold contiguous ascending regions, so walking shards in order
   // visits segments 0..segments-1 ascending.
   for (const auto& shard : shards_) shard->forEachSegment(fn);
+}
+
+std::vector<std::string> CorridorWorld::checkInvariants() const {
+  std::vector<std::string> broken;
+  std::size_t totalSessions = 0;
+  forEachSegment([&](std::uint32_t segment,
+                     const std::vector<common::Address>& isolated,
+                     const core::LiteDetector& detector) {
+    for (const common::Address address : isolated) {
+      const bool isVehicle =
+          address.value() >= kVehicleAddressBase &&
+          address.value() < kVehicleAddressBase + config_.vehicles;
+      const auto id =
+          static_cast<std::uint32_t>(address.value() - kVehicleAddressBase);
+      if (!isVehicle || !vehicleSpec(config_, id).attacker) {
+        broken.push_back("honest-isolation: segment " +
+                         std::to_string(segment) + " isolated " +
+                         std::to_string(address.value()) +
+                         " which is not a scripted attacker");
+      }
+    }
+    totalSessions += detector.activeSessions();
+    detector.forEachSession([&](const core::LiteSessionState& session) {
+      if (session.probesSent > config_.detector.maxProbes ||
+          session.forwards > config_.detector.maxForwards ||
+          session.violations >= config_.detector.probesToConfirm) {
+        broken.push_back(
+            "tables-drained: segment " + std::to_string(segment) +
+            " session for " + std::to_string(session.suspect.value()) +
+            " exceeds its budgets (probes " +
+            std::to_string(session.probesSent) + ", forwards " +
+            std::to_string(session.forwards) + ", violations " +
+            std::to_string(session.violations) + ")");
+      }
+    });
+  });
+  if (totalSessions > config_.vehicles) {
+    broken.push_back("tables-drained: " + std::to_string(totalSessions) +
+                     " live sessions exceed the fleet of " +
+                     std::to_string(config_.vehicles));
+  }
+  return broken;
 }
 
 obs::Snapshot CorridorWorld::metricsSnapshot() const {

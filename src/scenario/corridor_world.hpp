@@ -396,6 +396,16 @@ class CorridorWorld {
                                const std::vector<common::Address>& isolated,
                                const core::LiteDetector& detector)>& fn) const;
 
+  /// Hard invariants at an epoch boundary (empty = healthy):
+  ///   honest-isolation  every isolated address belongs to a scripted
+  ///                     attacker (vehicleSpec(seed, id).attacker): the
+  ///                     detector never convicts an honest vehicle;
+  ///   tables-drained    every live detection session respects its budgets
+  ///                     (probesSent <= maxProbes, forwards <= maxForwards,
+  ///                     violations < probesToConfirm) and the total
+  ///                     session count never exceeds the fleet.
+  [[nodiscard]] std::vector<std::string> checkInvariants() const;
+
   /// Deterministic, partition-invariant: merged per-shard registries
   /// (segment-ascending) rendered as a metrics snapshot JSON document.
   [[nodiscard]] std::string metricsJson() const;

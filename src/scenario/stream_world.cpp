@@ -517,121 +517,75 @@ common::Status StreamWorld::restoreCheckpoint(
     std::span<const std::uint8_t> blob) {
   BDP_ASSERT_MSG(nextEpoch_ == 0 && simulator_.now().us() == 0,
                  "restore requires a freshly built world");
-  auto decoded = codec::decodeCheckpoint(blob);
-  if (!decoded.ok()) return decoded.error();
-  const codec::Checkpoint& checkpoint = decoded.value();
+  return codec::restoreGuarded(
+      blob, codec::CheckpointTag::kMeta, configHash(), config_.seed,
+      [this](const codec::Checkpoint& checkpoint,
+             common::ByteReader& meta) -> common::Status {
+        const std::uint64_t epoch = meta.readU64();
+        const std::int64_t simNowUs = meta.readI64();
+        codec::expectConsumed(meta, "meta");
+        // Divide rather than multiply: a hostile epoch must not overflow on
+        // its way to being rejected.
+        const std::int64_t epochUs = config_.epochLength.us();
+        if (simNowUs < 0 || simNowUs % epochUs != 0 ||
+            static_cast<std::uint64_t>(simNowUs / epochUs) != epoch) {
+          return common::Error{
+              "malformed", "checkpoint clock is not at its epoch boundary"};
+        }
+        simulator_.fastForward(sim::TimePoint::fromUs(simNowUs));
 
-  // Section bodies are parsed under a truncation guard: a section that was
-  // valid at the envelope level (CRC intact) but structurally short is a
-  // typed "malformed" error, never UB. Note the world may be part-mutated
-  // on a mid-restore failure — callers discard it and rebuild.
-  try {
-    const common::Bytes* meta = checkpoint.find(codec::CheckpointTag::kMeta);
-    if (!meta) return common::Error{"malformed", "missing meta section"};
-    std::uint64_t epoch = 0;
-    std::int64_t simNowUs = 0;
-    {
-      common::ByteReader r{*meta};
-      const std::uint64_t hash = r.readU64();
-      const std::uint64_t seed = r.readU64();
-      if (hash != configHash() || seed != config_.seed) {
-        return common::Error{"config-mismatch",
-                             "checkpoint was taken under a different stream "
-                             "configuration"};
-      }
-      epoch = r.readU64();
-      simNowUs = r.readI64();
-      if (!r.exhausted()) {
-        return common::Error{"malformed", "trailing bytes in meta section"};
-      }
-    }
-    if (simNowUs !=
-        static_cast<std::int64_t>(epoch) * config_.epochLength.us()) {
-      return common::Error{"malformed",
-                           "checkpoint clock is not at its epoch boundary"};
-    }
-    simulator_.fastForward(sim::TimePoint::fromUs(simNowUs));
+        common::ByteReader r =
+            checkpoint.section(codec::CheckpointTag::kMedium);
+        std::istringstream state{r.readString()};
+        state >> medium_->rng().engine();
+        if (state.fail()) {
+          return common::Error{"malformed", "medium RNG state unreadable"};
+        }
+        codec::expectConsumed(r, "medium");
 
-    const common::Bytes* medium =
-        checkpoint.find(codec::CheckpointTag::kMedium);
-    if (!medium) return common::Error{"malformed", "missing medium section"};
-    {
-      common::ByteReader r{*medium};
-      std::istringstream state{r.readString()};
-      state >> medium_->rng().engine();
-      if (state.fail()) {
-        return common::Error{"malformed", "medium RNG state unreadable"};
-      }
-      if (!r.exhausted()) {
-        return common::Error{"malformed", "trailing bytes in medium section"};
-      }
-    }
+        r = checkpoint.section(codec::CheckpointTag::kTa);
+        taNetwork_->restoreState(r);
+        codec::expectConsumed(r, "TA");
 
-    const common::Bytes* ta = checkpoint.find(codec::CheckpointTag::kTa);
-    if (!ta) return common::Error{"malformed", "missing TA section"};
-    {
-      common::ByteReader r{*ta};
-      taNetwork_->restoreState(r);
-      if (!r.exhausted()) {
-        return common::Error{"malformed", "trailing bytes in TA section"};
-      }
-    }
+        r = checkpoint.section(codec::CheckpointTag::kStream);
+        armSeq_ = r.readU64();
+        for (std::uint64_t& count : injectedByKind_) count = r.readU64();
+        for (std::uint64_t& count : responsesByVerdict_) count = r.readU64();
+        verdictHash_ = r.readU64();
+        revocationAnnouncements_ = r.readU64();
+        codec::expectConsumed(r, "stream");
 
-    const common::Bytes* stream =
-        checkpoint.find(codec::CheckpointTag::kStream);
-    if (!stream) return common::Error{"malformed", "missing stream section"};
-    {
-      common::ByteReader r{*stream};
-      armSeq_ = r.readU64();
-      for (std::uint64_t& count : injectedByKind_) count = r.readU64();
-      for (std::uint64_t& count : responsesByVerdict_) count = r.readU64();
-      verdictHash_ = r.readU64();
-      revocationAnnouncements_ = r.readU64();
-      if (!r.exhausted()) {
-        return common::Error{"malformed", "trailing bytes in stream section"};
-      }
-    }
+        const auto clusterSections =
+            checkpoint.findAll(codec::CheckpointTag::kCluster);
+        if (clusterSections.size() != clusters_.size()) {
+          return common::Error{
+              "malformed", "checkpoint cluster count differs from the world"};
+        }
+        std::vector<core::PendingTimer> rearm;
+        for (std::size_t i = 0; i < clusters_.size(); ++i) {
+          r = common::ByteReader{*clusterSections[i]};
+          ClusterWorld& cluster = *clusters_[i];
+          if (r.readU32() != cluster.id.value()) {
+            return common::Error{"malformed", "cluster sections out of order"};
+          }
+          cluster.head->restoreState(r);
+          cluster.detector->restoreState(r, rearm);
+          codec::expectConsumed(r, "cluster");
+        }
 
-    const auto clusterSections =
-        checkpoint.findAll(codec::CheckpointTag::kCluster);
-    if (clusterSections.size() != clusters_.size()) {
-      return common::Error{"config-mismatch",
-                           "checkpoint cluster count differs from the world"};
-    }
-    std::vector<core::PendingTimer> rearm;
-    std::vector<bool> restored(clusters_.size(), false);
-    for (const common::Bytes* body : clusterSections) {
-      common::ByteReader r{*body};
-      const std::uint32_t clusterId = r.readU32();
-      if (clusterId < 1 || clusterId > clusters_.size() ||
-          restored[clusterId - 1]) {
-        return common::Error{"malformed", "bad cluster section id"};
-      }
-      restored[clusterId - 1] = true;
-      ClusterWorld& cluster = *clusters_[clusterId - 1];
-      cluster.head->restoreState(r);
-      cluster.detector->restoreState(r, rearm);
-      if (!r.exhausted()) {
-        return common::Error{"malformed",
-                             "trailing bytes in cluster section"};
-      }
-    }
-
-    // Reschedule every live detector timer in its original global arm
-    // order: the simulator's FIFO tie-break then reproduces the
-    // interrupted run's event order exactly.
-    std::sort(rearm.begin(), rearm.end(),
-              [](const core::PendingTimer& a, const core::PendingTimer& b) {
-                return a.armSeq < b.armSeq;
-              });
-    for (core::PendingTimer& timer : rearm) {
-      simulator_.scheduleAt(timer.deadline, std::move(timer.fire));
-    }
-    nextEpoch_ = epoch;
-  } catch (const std::out_of_range&) {
-    return common::Error{"malformed", "checkpoint section truncated"};
-  }
-  return common::Status::success();
+        // Reschedule every live detector timer in its original global arm
+        // order: the simulator's FIFO tie-break then reproduces the
+        // interrupted run's event order exactly.
+        std::sort(rearm.begin(), rearm.end(),
+                  [](const core::PendingTimer& a, const core::PendingTimer& b) {
+                    return a.armSeq < b.armSeq;
+                  });
+        for (core::PendingTimer& timer : rearm) {
+          simulator_.scheduleAt(timer.deadline, std::move(timer.fire));
+        }
+        nextEpoch_ = epoch;
+        return common::Status::success();
+      });
 }
 
 // ------------------------------------------------------ metrics/invariants

@@ -238,7 +238,7 @@ SoakResult SoakRunner::run() const {
            seedForTrial(options_.masterSeed, next - batch + failure.index),
            "no-swallowed-failures", failure.what});
     }
-    if (options_.failFast && !result.violations.empty()) break;
+    if (!result.violations.empty()) break;
   }
   result.wallClockS = elapsedS();
   if (options_.log != nullptr) {

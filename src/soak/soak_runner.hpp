@@ -46,8 +46,6 @@ struct SoakOptions {
   /// honest-isolation invariant MUST fire — used to prove the harness
   /// actually detects violations and that replays reproduce them.
   bool injectViolation{false};
-  /// Stop scheduling new batches after the first violating batch.
-  bool failFast{true};
   /// Progress/outcome narration (nullptr = silent).
   std::ostream* log{nullptr};
 };
@@ -106,7 +104,7 @@ class SoakRunner {
       std::vector<obs::TraceEvent>* traceOut = nullptr) const;
 
   /// Runs batches of trials until the wall-clock budget or maxTrials is
-  /// reached (or the first violation, under failFast).
+  /// reached, or until the first batch with a violation.
   [[nodiscard]] SoakResult run() const;
 
   [[nodiscard]] const SoakOptions& options() const { return options_; }

@@ -1,20 +1,17 @@
 // Streaming detector-service mode: checkpoint/restore byte-identity
 // (including a kill-at-random-epoch torture loop), memory-watermark
-// invariants under flood, trace record/replay equivalence, and the
-// stream-soak harness's manifest + resume machinery.
+// invariants under flood, and trace record/replay equivalence. The soak
+// harness that drives it (manifest, kill, resume, chaos) is tested over
+// both worlds in epoch_soak_test.
 #include <gtest/gtest.h>
 
-#include <filesystem>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "codec/checkpoint.hpp"
-#include "obs/json.hpp"
 #include "scenario/stream_world.hpp"
 #include "sim/rng.hpp"
-#include "soak/stream_soak.hpp"
 
 namespace blackdp {
 namespace {
@@ -25,14 +22,6 @@ scenario::StreamConfig smallConfig(std::uint64_t seed = 77) {
   config.clusters = 2;
   config.dreqsPerEpoch = 4;
   return config;
-}
-
-std::uint64_t metricsVerdictHash(const std::string& metricsJson) {
-  const auto object = obs::FlatJsonObject::parse(metricsJson);
-  EXPECT_TRUE(object.has_value());
-  const auto hash = object ? object->u64("verdict_hash") : std::nullopt;
-  EXPECT_TRUE(hash.has_value());
-  return hash.value_or(0);
 }
 
 // --- determinism of the injection plan --------------------------------------
@@ -190,171 +179,6 @@ TEST(StreamSoakTest, WatermarkHoldsUnderFloodAndEvictionActuallyRuns) {
   EXPECT_LE(metrics.trackedReporters, reporterCap);
   EXPECT_LE(metrics.noncesCached,
             reporterCap * config.detector.hardening.ledger.nonceCacheMax);
-}
-
-// --- stream-soak harness (manifest, kill emulation, resume) -----------------
-
-class StreamSoakHarnessTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    // Per-test directory: ctest runs fixture cases as concurrent processes,
-    // and a shared directory makes their SetUp remove_all race.
-    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
-    dir_ = std::filesystem::path{::testing::TempDir()} /
-           (std::string{"blackdp_stream_soak_"} + info->name());
-    std::filesystem::remove_all(dir_);
-    std::filesystem::create_directories(dir_);
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
-
-  [[nodiscard]] std::string sub(const std::string& name) const {
-    return (dir_ / name).string();
-  }
-
-  std::filesystem::path dir_;
-};
-
-TEST_F(StreamSoakHarnessTest, WritesCheckpointsWithAVerifiableManifest) {
-  soak::StreamSoakOptions options;
-  options.stream = smallConfig(11);
-  options.epochs = 6;
-  options.checkpointEvery = 2;
-  options.checkpointDir = sub("ckpts");
-  const soak::StreamSoakResult result = runStreamSoak(options);
-  ASSERT_TRUE(result.passed())
-      << result.violations.front().invariant << ": "
-      << result.violations.front().detail;
-  EXPECT_EQ(result.endEpoch, 6u);
-
-  const std::vector<soak::ManifestEntry> manifest =
-      soak::readManifest(options.checkpointDir);
-  ASSERT_EQ(manifest.size(), 3u);
-  for (const soak::ManifestEntry& entry : manifest) {
-    const auto blob =
-        codec::readFile(options.checkpointDir + "/" + entry.file);
-    ASSERT_TRUE(blob.ok()) << entry.file;
-    EXPECT_EQ(blob.value().size(), entry.bytes);
-    EXPECT_EQ(codec::crc32(blob.value()), entry.crc32);
-    EXPECT_EQ(entry.seed, options.stream.seed);
-    EXPECT_TRUE(codec::decodeCheckpoint(blob.value()).ok());
-  }
-  EXPECT_EQ(manifest.back().epoch, 6u);
-  EXPECT_EQ(result.lastCheckpointPath,
-            options.checkpointDir + "/" + manifest.back().file);
-}
-
-TEST_F(StreamSoakHarnessTest, KillAndResumeMatchesUninterruptedRun) {
-  soak::StreamSoakOptions uninterrupted;
-  uninterrupted.stream = smallConfig(12);
-  uninterrupted.epochs = 6;
-  uninterrupted.checkpointEvery = 2;
-  uninterrupted.checkpointDir = sub("a");
-  const soak::StreamSoakResult full = runStreamSoak(uninterrupted);
-  ASSERT_TRUE(full.passed());
-
-  soak::StreamSoakOptions killed = uninterrupted;
-  killed.checkpointDir = sub("b");
-  killed.stopAfter = 3;  // dies between checkpoints: epoch 3, last ckpt at 2
-  const soak::StreamSoakResult first = runStreamSoak(killed);
-  ASSERT_TRUE(first.passed());
-  EXPECT_EQ(first.endEpoch, 3u);
-
-  soak::StreamSoakOptions resumed = killed;
-  resumed.stopAfter = 0;
-  resumed.resume = true;
-  const soak::StreamSoakResult second = runStreamSoak(resumed);
-  ASSERT_TRUE(second.passed());
-  EXPECT_EQ(second.startEpoch, 2u);  // resumed from the epoch-2 checkpoint
-  EXPECT_EQ(second.endEpoch, 6u);
-
-  EXPECT_EQ(second.metricsJson, full.metricsJson);
-  const auto a = codec::readFile(sub("a") + "/ckpt-000006.bdpc");
-  const auto b = codec::readFile(sub("b") + "/ckpt-000006.bdpc");
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ(a.value(), b.value());
-}
-
-TEST_F(StreamSoakHarnessTest, ResumeWithMismatchedSeedFailsTyped) {
-  soak::StreamSoakOptions options;
-  options.stream = smallConfig(13);
-  options.epochs = 4;
-  options.checkpointEvery = 2;
-  options.checkpointDir = sub("ckpts");
-  ASSERT_TRUE(runStreamSoak(options).passed());
-
-  options.resume = true;
-  options.stream.seed = 14;
-  const soak::StreamSoakResult result = runStreamSoak(options);
-  ASSERT_FALSE(result.passed());
-  EXPECT_EQ(result.violations.front().invariant, "checkpoint-resume");
-}
-
-TEST_F(StreamSoakHarnessTest, ResumeFromEmptyDirFailsTyped) {
-  soak::StreamSoakOptions options;
-  options.stream = smallConfig(15);
-  options.epochs = 4;
-  options.resume = true;
-  options.checkpointDir = sub("nothing-here");
-  const soak::StreamSoakResult result = runStreamSoak(options);
-  ASSERT_FALSE(result.passed());
-  EXPECT_EQ(result.violations.front().invariant, "checkpoint-resume");
-}
-
-TEST_F(StreamSoakHarnessTest, TornManifestLineIsSkippedOnResume) {
-  soak::StreamSoakOptions options;
-  options.stream = smallConfig(16);
-  options.epochs = 4;
-  options.checkpointEvery = 2;
-  options.checkpointDir = sub("ckpts");
-  ASSERT_TRUE(runStreamSoak(options).passed());
-  {
-    // Emulate a kill mid-append: a torn, half-written trailing line.
-    std::ofstream out{soak::manifestPath(options.checkpointDir),
-                      std::ios::app};
-    out << "{\"epoch\":99,\"file\":\"ckpt-0000";
-  }
-  const std::vector<soak::ManifestEntry> manifest =
-      soak::readManifest(options.checkpointDir);
-  ASSERT_EQ(manifest.size(), 2u);
-  EXPECT_EQ(manifest.back().epoch, 4u);
-
-  options.resume = true;
-  options.epochs = 5;
-  const soak::StreamSoakResult result = runStreamSoak(options);
-  EXPECT_TRUE(result.passed());
-  EXPECT_EQ(result.startEpoch, 4u);
-}
-
-TEST_F(StreamSoakHarnessTest, RecordedTraceReplaysToTheSameVerdictTimeline) {
-  soak::StreamSoakOptions options;
-  options.stream = smallConfig(17);
-  options.epochs = 5;
-  options.tracePath = sub("trace.jsonl");
-  const soak::StreamSoakResult result = runStreamSoak(options);
-  ASSERT_TRUE(result.passed());
-  const std::uint64_t recordedHash = metricsVerdictHash(result.metricsJson);
-
-  // Re-drive the recorded trace through a fresh world (what replay_serve
-  // does) and require the identical verdict timeline hash.
-  std::ifstream in{options.tracePath};
-  ASSERT_TRUE(in.is_open());
-  std::vector<std::vector<scenario::InjectionSpec>> epochs(options.epochs);
-  std::string line;
-  std::size_t lines = 0;
-  while (std::getline(in, line)) {
-    const auto parsed = scenario::parseInjectionJson(line);
-    ASSERT_TRUE(parsed.has_value()) << line;
-    ASSERT_LT(parsed->first, epochs.size());
-    epochs[parsed->first].push_back(parsed->second);
-    ++lines;
-  }
-  EXPECT_EQ(lines, static_cast<std::size_t>(options.epochs) *
-                       options.stream.clusters * options.stream.dreqsPerEpoch);
-
-  scenario::StreamWorld replayed{options.stream};
-  for (const auto& specs : epochs) replayed.runEpochFromSpecs(specs);
-  EXPECT_EQ(replayed.metrics().verdictHash, recordedHash);
 }
 
 }  // namespace
