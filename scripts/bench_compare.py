@@ -9,8 +9,10 @@ baseline:
 
 Prints the wall-clock / throughput delta plus every deterministic metric
 (counter, gauge, histogram count/sum) that differs between the two files,
-then exits nonzero iff the candidate's frames_per_second dropped more than
---max-regression percent below the baseline, (when the baseline records
+then exits nonzero iff the two files' sharding sidecars describe different
+runs (segments, vehicles, epochs or jobs), the candidate's
+frames_per_second dropped more than --max-regression percent below the
+baseline, (when the baseline records
 throughput.allocations_per_frame) the candidate's allocations_per_frame
 rose more than --max-alloc-increase above the baseline, or (when the
 baseline records a fault_tolerance sidecar) the candidate's checkpoint time
@@ -137,6 +139,13 @@ def main(argv):
 
     if "sharding" in baseline and "sharding" in candidate:
         b_sh, c_sh = baseline["sharding"], candidate["sharding"]
+        # Frames/s only compares within one workload and worker count.
+        for key in ("segments", "vehicles", "epochs", "jobs"):
+            if b_sh.get(key) != c_sh.get(key):
+                raise SystemExit(f"sharding.{key} mismatch: {b_sh.get(key)} "
+                                 f"vs {c_sh.get(key)} — the two runs are not "
+                                 "the same workload; regenerate the baseline "
+                                 "with the command CI runs")
         print(f"sharding.speedup: {b_sh['speedup']:.2f} -> "
               f"{c_sh['speedup']:.2f} (informational — CI gates the "
               "committed baseline's speedup separately)")

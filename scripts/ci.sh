@@ -41,7 +41,8 @@ export BLACKDP_BENCH_OUT="$PWD/$out"
   ./bench/ablation_overhead --benchmark_min_time=0.01
   ./bench/micro_substrates --benchmark_min_time=0.01
   ./bench/e2e_throughput --jobs 1  # the committed baseline is --jobs 1
-  ./bench/megacity --segments 8 --vehicles 800 --epochs 6 --jobs "$jobs" \
+  # The committed megacity baseline is exactly this command at --jobs 1.
+  ./bench/megacity --segments 8 --vehicles 800 --epochs 6 --jobs 1 \
     --surfaces-out-a "$BLACKDP_BENCH_OUT"/megacity.shards1.txt \
     --surfaces-out-b "$BLACKDP_BENCH_OUT"/megacity.shards4.txt
   ./examples/cooperative_blackhole 7 --trace "$BLACKDP_BENCH_OUT"/coop_trace.jsonl

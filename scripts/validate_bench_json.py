@@ -386,7 +386,7 @@ def validate_manifest(path):
 
 
 CHECKPOINT_MAGIC = b"BDPC"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 CHECKPOINT_KEYS = ("epoch", "file", "bytes", "crc32", "seed")
 
 

@@ -35,7 +35,7 @@
 namespace blackdp::codec {
 
 inline constexpr std::uint32_t kCheckpointMagic = 0x42445043;  // "BDPC"
-inline constexpr std::uint16_t kCheckpointVersion = 1;
+inline constexpr std::uint16_t kCheckpointVersion = 2;
 
 /// Section tags (stable; append only).
 enum class CheckpointTag : std::uint16_t {

@@ -1,156 +1,348 @@
-// Lightweight per-RSU black-hole probe detector with migratable sessions.
+// The one BlackDP detector core: the RSU side of §III-B as a clock-less
+// session state machine.
 //
-// The megacity corridor runs one LiteDetector per RSU segment. It implements
-// the paper's probe idea in its leanest form: a data-plane REPORT (missing
-// end-to-end ack) opens a session; each epoch the RSU sends the suspect ONE
-// probe for a nonexistent destination; a reply claiming that route is a
-// violation (black holes answer everything), silence is exculpatory. K
-// violations confirm, a full quiet campaign exonerates.
+// Per suspect, the verification table holds one session that walks the
+// paper's probe ladder:
 //
-// What makes this detector "lite" is what it does NOT own: no timers, no
-// radio, no clock. The world drives it at epoch boundaries (beginEpoch) and
-// feeds it probe outcomes; all side effects go through Hooks. That inversion
-// is what lets a session MIGRATE: when the suspect has left the segment, the
-// session state — a few integers, serialisable with ByteWriter — is handed
-// to the world, shipped in a cross-shard envelope toward the suspect's
-// travel direction, and adopted by the neighbour RSU, where probing resumes
-// with violations and the original report timestamp intact. Detection
-// latency therefore stays measured from the FIRST report, wherever the
-// verdict eventually lands.
+//   RREQ₁    — fake, non-existent destination, unknown sequence number. An
+//              honest node stays silent; a black hole answers (RREP₁).
+//   RREQ₂    — same fake destination, sequence number one above RREP₁'s,
+//              plus a next-hop inquiry. A reply claiming a yet higher
+//              sequence number is AODV-impossible: the suspect is confirmed.
+//   teammate — the same probe at the next hop RREP₂ named; a reply from it
+//              makes the verdict cooperative.
+//
+// Silence is retried within the retry budget, an absent suspect's session is
+// handed to the RSU it moved toward within the forward budget, and the
+// opt-in hardened K-of-N campaign (DetectorHardening) replaces RREQ₁/RREQ₂
+// with randomized rounds. Sessions expire after the verification-table TTL.
+//
+// The core owns no clock, timer, radio or RNG. Every input carries the
+// current time; every session keeps its one live deadline as data
+// (deadline, deadlineKind, deadlineGen); every side effect leaves through
+// Hooks. That is what lets two very different worlds drive the same logic:
+// RsuDetector turns deadlines into simulator timers and hooks into signed
+// radio and backbone traffic, while the megacity corridor fires deadlines at
+// epoch boundaries and ships handed-off sessions in shard envelopes.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <string_view>
+#include <memory>
+#include <optional>
+#include <vector>
 
+#include "aodv/seqnum.hpp"
 #include "common/address_registry.hpp"
 #include "common/bytes.hpp"
 #include "common/ids.hpp"
+#include "core/messages.hpp"
+#include "core/reporter_ledger.hpp"
+#include "sim/time.hpp"
 
 namespace blackdp::core {
 
-enum class LiteVerdict : std::uint8_t {
-  kConfirmed,    ///< >= probesToConfirm probe violations
-  kExonerated,   ///< maxProbes silent rounds, too few violations
-  kUnreachable,  ///< suspect outran the handoff budget
+/// Adversarially hardened probing (all off by default; the naive ladder
+/// above replays the paper exactly).
+///
+/// The naive probe is evadable: its fake destination comes from a reserved
+/// address range no vehicle has ever heard of, so a *selective* black hole
+/// that only answers RREQs for destinations it has overheard stays silent
+/// and passes. The hardened campaign randomizes K-of-N rounds:
+///
+///   type B (even rounds) — destination is a *real* member the suspect has
+///     plausibly overheard (preferring the reporter, whose discovery the
+///     suspect answered), with an absurdly inflated destination sequence
+///     number. No honest node can have a route that fresh, so any reply
+///     from the suspect is an AODV-impossible claim.
+///   type A (odd rounds)  — an invented destination drawn from the plausible
+///     vehicle address space (not the reserved probe range), unknown
+///     sequence number: the classic non-existent-destination probe, but
+///     indistinguishable from a genuine discovery.
+///
+/// Each round uses a fresh disposable identity and destination and a
+/// jittered send time. Violations only count when the reply's link-layer
+/// source is the suspect itself (nobody can be framed by third-party
+/// replies). Reaching `violationQuorum` confirms; a full campaign with zero
+/// violations exonerates the suspect and demerits every accuser.
+struct DetectorHardening {
+  bool enabled{false};
+  /// N — probe rounds per campaign (alternating B,A,B,…).
+  int probeRounds{3};
+  /// K — violations that confirm the suspect.
+  int violationQuorum{2};
+  /// Uniform random delay added before each round's probe.
+  sim::Duration probeJitterMax{sim::Duration::milliseconds(120)};
+  /// Destination sequence number for type-B rounds; far above anything a
+  /// vehicle can legitimately have cached.
+  aodv::SeqNum inflatedSeq{0x20000000};
+  /// Invented type-A destinations are drawn from this (inclusive) range of
+  /// the plausible vehicle address space.
+  std::uint64_t plausibleAddressLo{0x10000000};
+  std::uint64_t plausibleAddressHi{0x1FFFFFFF};
+  /// Reporter rate-limit / replay / demerit policy.
+  ReporterLedgerConfig ledger{};
 };
 
-[[nodiscard]] std::string_view toString(LiteVerdict verdict);
+struct DetectorConfig {
+  /// How long a probe waits for the suspect's RREP.
+  sim::Duration probeTimeout{sim::Duration::milliseconds(400)};
+  /// RREQ₁ resends after silence before concluding (paper Fig. 5's
+  /// no-attacker case spends 2 probe packets).
+  int probeRetries{1};
+  /// Retry budget for the later probe stages (RREQ₂/RREQ₃) under lossy
+  /// conditions. 0 (default) replays the seed behaviour: a lost stage-1/2
+  /// probe ends the session on its first timeout.
+  int stageRetries{0};
+  /// Upper bound on CH→CH session forwards (chasing a moving suspect).
+  std::uint8_t maxForwards{3};
+  /// Anti-evasion probe campaign + accusation-channel defense (default off).
+  DetectorHardening hardening{};
+  /// Verification-table TTL: sessions older than this are expired as
+  /// kUnreachable by a lazy sweep. 0 (default) disables the sweep entirely
+  /// (seed behaviour; sessions always terminate via probe timeouts).
+  sim::Duration sessionTtl{};
+  /// Seed of the detector's private random stream (round jitter, type-A/B
+  /// destination draws). Derive per-CH from the scenario seed.
+  std::uint64_t probeSeed{0};
+  /// Keep a log of every (disposable identity, probe destination) pair for
+  /// invariant checking (soak harness); off by default to save memory.
+  bool recordProbeIdentities{false};
+  /// Bound on retained completed-session records (streaming service mode):
+  /// the oldest records are dropped once the vector exceeds the cap.
+  /// 0 (default, batch mode) keeps everything — short trials inspect the
+  /// full history afterwards. completedTotal() stays exact either way.
+  std::size_t completedCap{0};
+};
 
-/// The complete migratable state of one detection session.
-struct LiteSessionState {
+/// One accuser of a session and the cluster its answer goes back to.
+struct SessionReporter {
+  common::Address address{};
+  common::ClusterId cluster{};
+
+  friend bool operator==(const SessionReporter&,
+                         const SessionReporter&) = default;
+};
+
+/// Which probe of the ladder a session is waiting on.
+enum class ProbeStage : std::uint8_t { kRreq1 = 0, kRreq2 = 1, kTeammate = 2 };
+
+/// What a session's live deadline means when it passes.
+enum class DeadlineKind : std::uint8_t {
+  kNone = 0,     ///< disarmed (a reply consumed the probe)
+  kProbeTimeout, ///< the outstanding probe went unanswered
+  kRoundDelay,   ///< a hardened round's jitter elapsed: send its probe
+};
+
+/// One verification-table entry (§III-B1 "Suspicious Node Examination"):
+/// the complete state of a detection session, its deadline included.
+struct DetectionSession {
+  common::DetectionSessionId id{};
   common::Address suspect{};
-  common::Address firstReporter{};
-  std::int64_t firstReportAtUs{0};  ///< global clock; latency baseline
-  std::uint32_t violations{0};      ///< probe replies observed so far
-  std::uint32_t probesSent{0};      ///< probe rounds across ALL hosting RSUs
-  std::uint32_t forwards{0};        ///< handoffs consumed so far
-  std::uint8_t travelDirection{0};  ///< 0 = eastbound, 1 = westbound
+  std::vector<SessionReporter> reporters;
+  ProbeStage stage{ProbeStage::kRreq1};
+  aodv::SeqNum rrep1Seq{0};
+  aodv::SeqNum rreq2Seq{0};
+  common::Address accomplice{common::kNullAddress};
+  /// Resends left at the current stage (probeRetries at RREQ₁,
+  /// stageRetries later); reset on every stage advance.
+  int retriesLeft{0};
+  /// Detection packets spent so far (Fig. 5 accounting).
+  std::uint32_t packets{0};
+  std::uint8_t forwardCount{0};
+  /// Adopted after a backbone forward failed: probe from here over the air
+  /// and never hand the session on again.
+  bool degraded{false};
+  /// Hardened K-of-N campaign state (the stage stays kRreq1 while rounds
+  /// run; kTeammate is reused for the teammate probe after quorum).
+  bool hardened{false};
+  int round{0};
+  int violations{0};
+  sim::TimePoint startedAt{};  ///< the first RSU accepted the report
+  /// First probe out of the RSU holding the session (not carried by a
+  /// hand-off, so it is the finishing RSU's).
+  std::optional<sim::TimePoint> probeStartedAt{};
+  /// Probe identity, written by the sendProbe hook: the disposable source
+  /// and the probed destination. A reply matches the session iff it names
+  /// `fakeDestination` and one of `stageRreqIds` — the ids of the current
+  /// stage's probes (original and resends); earlier stages' no longer match.
+  common::Address disposable{};
+  common::Address fakeDestination{};
+  std::vector<std::uint32_t> stageRreqIds;
+  DeadlineKind deadlineKind{DeadlineKind::kNone};
+  sim::TimePoint deadline{};
+  /// Bumped on every arm and disarm: a timer carrying an older generation
+  /// is stale.
+  std::uint32_t deadlineGen{0};
+  /// The owner's arm-order stamp for the live deadline. A world whose
+  /// detectors share one simulator records it so a restore can re-arm the
+  /// deadlines of all its detectors in their original order.
+  std::uint64_t deadlineSeq{0};
 
   void serialize(common::ByteWriter& w) const;
-  [[nodiscard]] static LiteSessionState deserialize(common::ByteReader& r);
+  /// Throws std::out_of_range on truncated input or an unknown stage or
+  /// deadline kind.
+  [[nodiscard]] static DetectionSession deserialize(common::ByteReader& r);
 
-  friend bool operator==(const LiteSessionState&,
-                         const LiteSessionState&) = default;
+  friend bool operator==(const DetectionSession&,
+                         const DetectionSession&) = default;
+};
+
+/// The RREQ a probe of the ladder puts on the air: TTL 1, from the
+/// session's disposable identity to its fake destination; RREQ₂ asks for
+/// sn + 1 with a next-hop inquiry, every other probe for an unknown
+/// sequence number.
+[[nodiscard]] std::shared_ptr<aodv::RouteRequest> probeRequest(
+    const DetectionSession& s, std::uint32_t rreqId);
+
+/// Checkpoint encoding of an optional time: a presence flag, then µs.
+void writeOptionalTime(common::ByteWriter& w,
+                       const std::optional<sim::TimePoint>& t);
+[[nodiscard]] std::optional<sim::TimePoint> readOptionalTime(
+    common::ByteReader& r);
+
+/// Session milestones the owner traces and counts (Hooks::onEvent).
+enum class SessionEvent : std::uint8_t {
+  kOpened,         ///< inserted into the verification table
+  kReportMerged,   ///< a report joined the live session (other: reporter)
+  kSessionMerged,  ///< an adopted session joined the live one
+  kProbeReply,     ///< a reply matched, before judging (other: replier)
+  kViolation,      ///< hardened: the suspect's own reply counted
+  kConfirmed,      ///< black hole; a teammate probe may precede the verdict
+  kProbeTimeout,   ///< the outstanding probe went unanswered
+  kExonerated,     ///< a hardened campaign ended with zero violations
+  kExpired,        ///< the TTL removed the session (kUnreachable follows)
 };
 
 class LiteDetector {
  public:
-  struct Config {
-    std::uint32_t probesToConfirm{2};  ///< K violations -> kConfirmed
-    std::uint32_t maxProbes{4};        ///< quiet rounds -> kExonerated
-    std::uint32_t maxForwards{6};      ///< handoffs -> kUnreachable
-  };
-
-  /// All side effects. `sendProbe` transmits one fake-destination probe to
-  /// the suspect; `onVerdict` fires exactly once per session, after which
-  /// the session is gone; `onHandoff` receives the extracted state of an
-  /// absent suspect's session (the world ships it; the session is already
-  /// removed here).
+  /// Every side effect. `armDeadline` and `onEvent` may be empty;
+  /// `roundDelay` is needed only with hardening on.
   struct Hooks {
-    std::function<void(const LiteSessionState&)> sendProbe;
-    std::function<void(const LiteSessionState&, LiteVerdict)> onVerdict;
-    std::function<void(const LiteSessionState&)> onHandoff;
+    /// Whether the suspect is within this RSU's probing range.
+    std::function<bool(common::Address)> present;
+    /// Puts one probe on the air at `target` (see probeRequest; hardened
+    /// sessions at kRreq1 send a round's probe). With `freshIdentity` the
+    /// owner first assigns a new disposable identity and fake destination.
+    std::function<void(DetectionSession&, common::Address target,
+                       std::uint32_t rreqId, bool freshIdentity)>
+        sendProbe;
+    /// The session's deadline was (re)armed; fire onDeadline(suspect,
+    /// deadlineGen) once `deadline` passes.
+    std::function<void(DetectionSession&)> armDeadline;
+    /// The delay before the next hardened round's probe.
+    std::function<sim::Duration()> roundDelay;
+    /// Ships an absent suspect's session (already out of the table) toward
+    /// where it went, as handedOff() shapes it; false when there is nowhere
+    /// to go. Only called within the forward budget.
+    std::function<bool(const DetectionSession&)> forward;
+    std::function<void(const DetectionSession&, SessionEvent,
+                       common::Address other)>
+        onEvent;
+    /// Fires exactly once per session, after it left the table.
+    std::function<void(DetectionSession&, Verdict)> onVerdict;
   };
 
-  /// Deterministic counters; the world folds them into its MetricsRegistry.
-  struct Stats {
-    std::uint64_t sessionsOpened{0};
-    std::uint64_t duplicateReports{0};
-    std::uint64_t probeRounds{0};
-    std::uint64_t violations{0};
-    std::uint64_t probesUnreachable{0};
-    std::uint64_t confirmed{0};
-    std::uint64_t exonerated{0};
-    std::uint64_t unreachable{0};
-    std::uint64_t handoffsOut{0};
-    std::uint64_t adopted{0};
-  };
+  /// Session ids are (idPrefix << 32) | a local counter.
+  LiteDetector(DetectorConfig config, std::uint32_t idPrefix, Hooks hooks);
 
-  LiteDetector(Config config, Hooks hooks);
+  /// Verification-table intake. A report against a suspect with a live
+  /// session merges into it (nullopt); otherwise the new session is
+  /// returned unplaced, for the caller to adopt() or hand on.
+  [[nodiscard]] std::optional<DetectionSession> report(
+      common::Address suspect, SessionReporter reporter, sim::TimePoint now);
 
-  /// Data-plane accusation. Opens a session (true) or merges into the
-  /// existing one for this suspect (false). No probe is sent here — probing
-  /// is paced to one round per epoch by beginEpoch.
-  bool report(common::Address suspect, common::Address reporter,
-              std::int64_t nowUs, std::uint8_t travelDirection);
+  /// Takes in a fresh report's, a handed-off or a degraded session. It
+  /// merges into a live session for the suspect (reporters and packets
+  /// join, probing goes on), probes if the suspect is present (or the
+  /// session is degraded), and otherwise hands it on.
+  void adopt(DetectionSession session, sim::TimePoint now);
 
-  /// The suspect answered a probe for a destination that does not exist:
-  /// a violation. May conclude the session (kConfirmed).
-  void onProbeReply(common::Address suspect);
+  /// An RREP from `replier` (its link-layer source); ignored unless it
+  /// answers a probe of a session's current stage.
+  void onProbeReply(const aodv::RouteReply& reply, common::Address replier,
+                    sim::TimePoint now);
 
-  /// The probe never reached the suspect (left mid-epoch). The round is
-  /// not evidence either way; it is refunded.
-  void onProbeUnreachable(common::Address suspect);
+  /// The probe never reached its target. No evidence either way: the
+  /// resend it cost is refunded, up to the stage budget.
+  void onProbeUnreachable(const aodv::RouteRequest& probe);
 
-  /// Epoch-boundary driver. For every session, in insertion order:
-  /// exonerate if the probe budget is spent; hand off (or give up) if
-  /// `present(suspect)` is false; otherwise send this epoch's probe round.
-  void beginEpoch(const std::function<bool(common::Address)>& present);
+  /// The deadline armed with generation `gen` passed. Stale generations
+  /// are ignored.
+  void onDeadline(common::Address suspect, std::uint32_t gen,
+                  sim::TimePoint now);
 
-  /// Installs a migrated session. If this detector already tracks the
-  /// suspect (local reports re-opened a session before the handoff envelope
-  /// caught up — it trails the migration by one epoch), the sessions merge:
-  /// the earliest report keeps the detection clock, violations accumulate,
-  /// probesSent/forwards take the max, and a merge that reaches the
-  /// confirmation threshold concludes immediately.
-  void adopt(const LiteSessionState& state);
+  /// Fires every armed deadline at or before `now`, in suspect order — for
+  /// owners that only look at the clock at epoch boundaries.
+  void fireDeadlines(sim::TimePoint now);
+
+  /// TTL expiry: every session at least sessionTtl old ends as
+  /// kUnreachable, in suspect order.
+  void expire(sim::TimePoint now);
 
   /// Removes and returns the session for `suspect` (asserted to exist)
   /// without any verdict — the test seam for migration plumbing.
-  [[nodiscard]] LiteSessionState extract(common::Address suspect);
+  [[nodiscard]] DetectionSession extract(common::Address suspect);
 
-  /// Serializes every live session (insertion order — the same order
-  /// beginEpoch walks, so a restored detector probes in the original
-  /// sequence) followed by the stats block.
+  /// What a hand-off carries to the next RSU: id, suspect, first reporter,
+  /// start time, the RREP₁ sequence number if RREQ₂ is next (any other stage
+  /// restarts at RREQ₁), and the packet and forward counts including the
+  /// forward itself.
+  [[nodiscard]] static DetectionSession handedOff(const DetectionSession& s);
+
+  /// Serializes the id and probe-id counters and every live session,
+  /// suspect-ascending.
   void saveState(common::ByteWriter& w) const;
 
-  /// Inverse of saveState; requires an empty, freshly constructed detector.
-  /// Throws std::out_of_range on truncated input.
+  /// Inverse of saveState into an empty detector. Throws std::out_of_range
+  /// on truncated input or a session no saveState of this configuration
+  /// writes.
   void restoreState(common::ByteReader& r);
 
-  /// Read-only walk over live sessions in insertion order (soak
-  /// invariants inspect probe/forward budgets through this).
+  /// Read-only walk over live sessions in table order.
   void forEachSession(
-      const std::function<void(const LiteSessionState&)>& fn) const {
+      const std::function<void(const DetectionSession&)>& fn) const {
     sessions_.forEach(
-        [&](common::Address, const LiteSessionState& s) { fn(s); });
+        [&](common::Address, const DetectionSession& s) { fn(s); });
   }
 
   [[nodiscard]] std::size_t activeSessions() const { return sessions_.size(); }
-  [[nodiscard]] const LiteSessionState* find(common::Address suspect) const {
+  [[nodiscard]] const DetectionSession* find(common::Address suspect) const {
     return sessions_.find(suspect);
   }
-  [[nodiscard]] const Stats& stats() const { return stats_; }
-  [[nodiscard]] const Config& config() const { return config_; }
+  [[nodiscard]] const DetectorConfig& config() const { return config_; }
 
  private:
-  void conclude(const LiteSessionState& state, LiteVerdict verdict);
+  void beginProbing(DetectionSession session, sim::TimePoint now);
+  void probe(DetectionSession& s, common::Address target, bool freshIdentity,
+             sim::TimePoint now);
+  void arm(DetectionSession& s, sim::TimePoint deadline, DeadlineKind kind);
+  void scheduleRound(DetectionSession& s, sim::TimePoint now);
+  void onTimeout(DetectionSession& s, sim::TimePoint now);
+  void judgeHardenedReply(DetectionSession& s, const aodv::RouteReply& reply,
+                          common::Address replier, sim::TimePoint now);
+  void escalateToTeammate(DetectionSession& s, common::Address teammate,
+                          bool freshIdentity, sim::TimePoint now);
+  /// Removes `s` from the table and returns it.
+  DetectionSession take(DetectionSession& s);
+  /// An absent suspect's session (already out of the table): forward it
+  /// within the budget, else conclude kUnreachable.
+  void handOff(DetectionSession s);
+  void conclude(DetectionSession s, Verdict verdict);
+  void emit(const DetectionSession& s, SessionEvent event,
+            common::Address other = {});
+  [[nodiscard]] DetectionSession* match(common::Address destination,
+                                        common::RreqId rreqId);
+  [[nodiscard]] int stageBudget(ProbeStage stage) const;
 
-  Config config_;
+  DetectorConfig config_;
+  std::uint32_t idPrefix_;
   Hooks hooks_;
-  common::DenseAddressMap<LiteSessionState> sessions_;
-  Stats stats_;
+  /// Verification table, keyed by suspect (dense slots; one probe + array
+  /// read per reply match, slots recycled as sessions close).
+  common::DenseAddressMap<DetectionSession> sessions_;
+  std::uint64_t nextSessionLocal_{1};
+  std::uint32_t nextProbeId_{1};
 };
 
 }  // namespace blackdp::core

@@ -1,23 +1,21 @@
 // RSU-side BlackDP: suspicious node examination and isolation (§III-B).
 //
-// Each cluster head runs a detector. On a d_req from an authenticated member
-// it opens a detection session (deduplicating concurrent reports against the
-// same suspect in the verification table), locates the suspect, and probes it
-// under a disposable identity:
+// Each cluster head runs a detector: the radio, timer and backbone adapter
+// around the one session core, core::LiteDetector (lite_detector.hpp), which
+// owns the verification table and the RREQ₁ → RREQ₂ → teammate probe ladder.
+// The adapter does everything that needs the world:
 //
-//   RREQ₁ — fake, non-existent destination, unknown sequence number.
-//           An honest node stays silent (nothing to reply with, TTL 1
-//           forbids rebroadcast); a black hole answers immediately.
-//   RREQ₂ — same fake destination, destination sequence number set one above
-//           RREP₁'s, plus a next-hop inquiry. A reply with a yet higher
-//           sequence number is an AODV-impossible claim: attack confirmed.
-//   RREQ₃ — sent to a claimed next hop (cooperative teammate); a reply
-//           confirms the cooperative attack.
-//
-// If the suspect has left for an adjacent cluster mid-probe the session is
-// forwarded over the backbone with its probe state (the paper's 8/9-packet
-// scenarios). On confirmation the detector triggers certificate revocation
-// at the TA, applies local isolation, and answers every reporter.
+//   - authenticates d_reqs and applies the ReporterLedger's admission
+//     policy before a report reaches the table;
+//   - puts probes on the air as AODV RREQs from disposable identities (an
+//     honest node stays silent; TTL 1 forbids rebroadcast);
+//   - forwards a fleeing suspect's session to the adjacent cluster head over
+//     the backbone (the paper's 8/9-packet scenarios) and relays verdicts to
+//     reporters in other clusters;
+//   - on confirmation triggers certificate revocation at the TA and answers
+//     every reporter;
+//   - keeps session records, trace sites, and the simulator timers that fire
+//     the core's deadlines.
 //
 // Every packet a CH sends or receives for a session is counted; the counts
 // are what bench/fig5_packets reports.
@@ -28,86 +26,13 @@
 #include <vector>
 
 #include "cluster/cluster_head.hpp"
-#include "common/address_registry.hpp"
+#include "core/lite_detector.hpp"
 #include "core/messages.hpp"
 #include "core/reporter_ledger.hpp"
 #include "core/secure.hpp"
 #include "sim/rng.hpp"
 
 namespace blackdp::core {
-
-/// Adversarially hardened probing (all off by default; the naive ladder
-/// above replays the paper exactly).
-///
-/// The naive probe is evadable: its fake destination comes from a reserved
-/// address range no vehicle has ever heard of, so a *selective* black hole
-/// that only answers RREQs for destinations it has overheard stays silent
-/// and passes. The hardened campaign randomizes K-of-N rounds:
-///
-///   type B (even rounds) — destination is a *real* member the suspect has
-///     plausibly overheard (preferring the reporter, whose discovery the
-///     suspect answered), with an absurdly inflated destination sequence
-///     number. No honest node can have a route that fresh, so any reply
-///     from the suspect is an AODV-impossible claim.
-///   type A (odd rounds)  — an invented destination drawn from the plausible
-///     vehicle address space (not the reserved probe range), unknown
-///     sequence number: the classic non-existent-destination probe, but
-///     indistinguishable from a genuine discovery.
-///
-/// Each round uses a fresh disposable identity and destination and a
-/// jittered send time. Violations only count when the reply's link-layer
-/// source is the suspect itself (nobody can be framed by third-party
-/// replies). Reaching `violationQuorum` confirms; a full campaign with zero
-/// violations exonerates the suspect and demerits every accuser.
-struct DetectorHardening {
-  bool enabled{false};
-  /// N — probe rounds per campaign (alternating B,A,B,…).
-  int probeRounds{3};
-  /// K — violations that confirm the suspect.
-  int violationQuorum{2};
-  /// Uniform random delay added before each round's probe.
-  sim::Duration probeJitterMax{sim::Duration::milliseconds(120)};
-  /// Destination sequence number for type-B rounds; far above anything a
-  /// vehicle can legitimately have cached.
-  aodv::SeqNum inflatedSeq{0x20000000};
-  /// Invented type-A destinations are drawn from this (inclusive) range of
-  /// the plausible vehicle address space.
-  std::uint64_t plausibleAddressLo{0x10000000};
-  std::uint64_t plausibleAddressHi{0x1FFFFFFF};
-  /// Reporter rate-limit / replay / demerit policy.
-  ReporterLedgerConfig ledger{};
-};
-
-struct DetectorConfig {
-  /// How long a probe waits for the suspect's RREP.
-  sim::Duration probeTimeout{sim::Duration::milliseconds(400)};
-  /// RREQ₁ resends after silence before concluding (paper Fig. 5's
-  /// no-attacker case spends 2 probe packets).
-  int probeRetries{1};
-  /// Retry budget for the later probe stages (RREQ₂/RREQ₃) under lossy
-  /// conditions. 0 (default) replays the seed behaviour: a lost stage-1/2
-  /// probe ends the session on its first timeout.
-  int stageRetries{0};
-  /// Upper bound on CH→CH session forwards (chasing a moving suspect).
-  std::uint8_t maxForwards{3};
-  /// Anti-evasion probe campaign + accusation-channel defense (default off).
-  DetectorHardening hardening{};
-  /// Verification-table TTL: sessions older than this are expired as
-  /// kUnreachable by a lazy sweep. 0 (default) disables the sweep entirely
-  /// (seed behaviour; sessions always terminate via probe timeouts).
-  sim::Duration sessionTtl{};
-  /// Seed of the detector's private random stream (round jitter, type-A/B
-  /// destination draws). Derive per-CH from the scenario seed.
-  std::uint64_t probeSeed{0};
-  /// Keep a log of every (disposable identity, probe destination) pair for
-  /// invariant checking (soak harness); off by default to save memory.
-  bool recordProbeIdentities{false};
-  /// Bound on retained completed-session records (streaming service mode):
-  /// the oldest records are dropped once the vector exceeds the cap.
-  /// 0 (default, batch mode) keeps everything — short trials inspect the
-  /// full history afterwards. completedTotal() stays exact either way.
-  std::size_t completedCap{0};
-};
 
 /// Completed-session record (the finishing CH keeps it; packetsUsed includes
 /// the relay packets it can account for deterministically).
@@ -184,8 +109,10 @@ class RsuDetector {
   }
   [[nodiscard]] const DetectorStats& stats() const { return stats_; }
   /// Verification-table size (active sessions).
-  [[nodiscard]] std::size_t activeSessions() const { return active_.size(); }
-  [[nodiscard]] const DetectorConfig& config() const { return config_; }
+  [[nodiscard]] std::size_t activeSessions() const {
+    return core_.activeSessions();
+  }
+  [[nodiscard]] const DetectorConfig& config() const { return core_.config(); }
   /// Reporter reputation state (rate limits, replay cache, demerits).
   [[nodiscard]] const ReporterLedger& reporterLedger() const { return ledger_; }
   /// Every (disposable, destination) pair sent, when
@@ -206,9 +133,9 @@ class RsuDetector {
   /// cannot express. Call before any session is opened.
   void shareArmSequence(std::uint64_t* counter);
 
-  /// Checkpoint support. saveState writes every dynamic field (verification
-  /// table sorted by suspect, completed records, stats, allocators, ledger,
-  /// probe RNG, sweep timer). restoreState replaces them and appends one
+  /// Checkpoint support. saveState writes every dynamic field (completed
+  /// records, stats, allocators, ledger, probe RNG, sweep timer, the core's
+  /// verification table). restoreState replaces them and appends one
   /// PendingTimer per live timer to `rearm` WITHOUT scheduling anything —
   /// the caller sorts timers from all detectors by armSeq and schedules
   /// them, reproducing the interrupted run's event order exactly.
@@ -216,76 +143,34 @@ class RsuDetector {
   void restoreState(common::ByteReader& r, std::vector<PendingTimer>& rearm);
 
  private:
-  struct Reporter {
-    common::Address address{};
-    common::ClusterId cluster{};
-  };
-  /// One verification-table entry (§III-B1 "Suspicious Node Examination").
-  struct Session {
-    common::DetectionSessionId id{};
-    common::Address suspect{};
-    std::vector<Reporter> reporters;
-    int stage{0};  ///< 0: awaiting RREP₁, 1: awaiting RREP₂, 2: teammate
-    aodv::SeqNum rrep1Seq{0};
-    aodv::SeqNum rreq2Seq{0};
-    common::Address disposable{};
-    common::Address fakeDestination{};
-    /// Probe ids of the *current* stage (original + retransmissions) — a
-    /// late reply to any of them matches; replies to earlier stages do not.
-    std::vector<std::uint32_t> stageRreqIds;
-    int retriesLeft{0};
-    std::uint32_t packets{0};
-    std::uint8_t forwardCount{0};
-    /// Adopted after a backbone forward failed (target CH dead): probe the
-    /// suspect over the air from here and skip the membership-based
-    /// forwarding logic — there is nowhere left to hand the session.
-    bool degraded{false};
-    common::Address accomplice{common::kNullAddress};
-    std::uint32_t timerGen{0};
-    sim::TimePoint startedAt{};
-    std::optional<sim::TimePoint> probeStartedAt{};
-    /// Hardened K-of-N campaign state (stage stays 0 while rounds run;
-    /// stage 2 is reused for the teammate probe after quorum).
-    bool hardened{false};
-    int round{0};
-    int violations{0};
-    /// Checkpoint metadata for the session's one live timer. The simulator
-    /// cannot serialize closures, so the detector records what it armed:
-    /// kind 0 = none (disarmed or consumed), 1 = probe timeout,
-    /// 2 = hardened-round jitter delay. restoreState() rebuilds the closure
-    /// from (kind, deadline) and replays the arm order via timerArmSeq.
-    sim::TimePoint timerDeadline{};
-    std::uint8_t timerKind{0};
-    std::uint64_t timerArmSeq{0};
-  };
-
   bool onFrame(const net::Frame& frame);
   void onBackbone(common::ClusterId from, const net::PayloadPtr& payload);
   void onBackboneSendFailed(common::ClusterId to, const net::PayloadPtr& payload);
 
   void handleDreq(const DetectionRequest& dreq);
-  void adoptForwarded(const ForwardedDetection& fwd);
+  /// Takes over a session another CH forwarded; `degraded` when our own
+  /// forward bounced (the target CH is dead) and it comes back here.
+  void adoptForwarded(const ForwardedDetection& fwd, bool degraded);
   void relayResult(const DetectionResult& result);
 
-  /// Dispatches a session: probe locally, forward, or give up.
-  void placeSession(Session session);
-  void beginProbing(Session session);
-  void sendProbe(common::Address suspectOrTeammate, Session& session);
-  void armTimer(Session& session);
-  void onProbeTimeout(common::Address suspect, std::uint32_t gen);
-  void handleProbeReply(const aodv::RouteReply& rrep, const net::Frame& frame);
+  // Core hooks.
+  void sendProbe(DetectionSession& session, common::Address target,
+                 std::uint32_t rreqId, bool freshIdentity);
+  void armDeadline(DetectionSession& session);
+  [[nodiscard]] sim::Duration roundDelay();
+  [[nodiscard]] bool forward(const DetectionSession& session);
+  void onEvent(const DetectionSession& session, SessionEvent event,
+               common::Address other);
+  void finishSession(DetectionSession& session, Verdict verdict);
 
-  // Hardened campaign (see DetectorHardening).
-  /// Schedules the current round's probe after a jittered delay.
-  void scheduleHardenedRound(Session& session);
-  /// Puts one round's probe on the air under a fresh disposable identity.
-  void sendHardenedProbe(Session& session);
   /// A type-B destination the suspect has plausibly overheard (reporter
   /// first, then a random member ≠ suspect); null → fall back to type A.
-  [[nodiscard]] common::Address pickRealDestination(const Session& session);
+  [[nodiscard]] common::Address pickRealDestination(
+      const DetectionSession& session);
   /// Campaign ended with zero violations: demerit (and possibly quarantine)
   /// every accuser.
-  void exonerateReporters(const Session& session);
+  void exonerateReporters(const DetectionSession& session);
+  void isolate(const DetectionSession& session, Verdict verdict);
 
   // Verification-table TTL sweep (lazy: armed only while sessions exist,
   // so an idle detector never keeps the simulator alive).
@@ -293,13 +178,11 @@ class RsuDetector {
   void onSweep();
 
   /// Hands the session to the CH of an adjacent / reported cluster.
-  void forwardSession(Session session, common::ClusterId target);
+  void forwardSession(const DetectionSession& session,
+                      common::ClusterId target);
   /// Picks where a vanished member likely went (direction of travel).
   [[nodiscard]] std::optional<common::ClusterId> guessNextCluster(
       common::Address suspect) const;
-
-  void finishSession(Session session, Verdict verdict);
-  void isolate(const Session& session, Verdict verdict);
 
   common::Address allocProbeAddress();
 
@@ -307,16 +190,10 @@ class RsuDetector {
   cluster::ClusterHead& ch_;
   crypto::TaNetwork& taNetwork_;
   const crypto::CryptoEngine& engine_;
-  DetectorConfig config_;
   DetectorStats stats_;
-  /// Verification table, keyed by suspect (dense slots; one probe + array
-  /// read per probe-reply match, slots recycled as sessions close).
-  common::DenseAddressMap<Session> active_;
   std::vector<SessionRecord> completed_;
   std::uint64_t completedTotal_{0};
-  std::uint64_t nextSessionLocal_{1};
   std::uint64_t nextProbeAddress_{1};
-  std::uint32_t nextProbeRreqId_{1};
   ReporterLedger ledger_;
   sim::Rng probeRng_;
   std::vector<ProbeIdentity> probeIdentityLog_;
@@ -327,6 +204,7 @@ class RsuDetector {
   /// shares one across detectors (see shareArmSequence).
   std::uint64_t armSeqLocal_{0};
   std::uint64_t* armSeqCounter_{&armSeqLocal_};
+  LiteDetector core_;
 };
 
 }  // namespace blackdp::core

@@ -50,8 +50,6 @@ enum class PayloadKind : std::uint8_t {
   kCorridorData,
   kCorridorAck,
   kCorridorReport,
-  kCorridorProbe,
-  kCorridorProbeReply,
   kCorridorIsolation,
 };
 

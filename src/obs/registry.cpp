@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <stdexcept>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -266,6 +267,12 @@ Snapshot deserializeSnapshot(common::ByteReader& reader) {
     data.counts.reserve(std::min<std::size_t>(counts, reader.remaining()));
     for (std::uint32_t j = 0; j < counts; ++j) {
       data.counts.push_back(reader.readU64());
+    }
+    // A histogram has one bucket per edge plus the overflow bucket; any
+    // other shape would send a later merge past the end of `counts`.
+    if (data.counts.size() != data.edges.size() + 1) {
+      throw std::out_of_range{"snapshot histogram " + name +
+                              ": bucket count does not match its edges"};
     }
     data.count = reader.readU64();
     data.sum = readF64(reader);

@@ -46,6 +46,22 @@ std::uint32_t effectiveSupervisionEvery(const CorridorConfig& config) {
   return config.faults.shardCrashes.empty() ? 0u : 2u;
 }
 
+/// How far above the asked-for sequence number a black hole's forged reply
+/// claims (attack::BlackHoleConfig's default).
+constexpr aodv::SeqNum kForgedSeqBoost = 200;
+
+[[nodiscard]] std::uint32_t vehicleIdOf(common::Address address) {
+  return static_cast<std::uint32_t>(address.value() - kVehicleAddressBase);
+}
+
+/// The medium counters a checkpoint carries: all but gridRebuilds, which
+/// depends on per-shard attach patterns and is never folded.
+constexpr std::uint64_t net::MediumStats::*kCarriedMediumStats[] = {
+    &net::MediumStats::framesSent,         &net::MediumStats::framesDelivered,
+    &net::MediumStats::framesLost,         &net::MediumStats::framesFaultDropped,
+    &net::MediumStats::framesBurstDropped, &net::MediumStats::framesJamDropped,
+    &net::MediumStats::sendFailures,       &net::MediumStats::bytesSent};
+
 net::MediumConfig corridorMediumConfig() {
   net::MediumConfig config;
   config.transmissionRangeM = 1000.0;
@@ -164,86 +180,12 @@ CorridorShard::CorridorShard(const CorridorConfig& config,
         mobility::LinearMotion::stationary(rsuPos));
     segment->rsu->setLocalAddress(rsuAddress(index));
 
-    Segment* seg = segment.get();
-    core::LiteDetector::Hooks hooks;
-    hooks.sendProbe = [this, seg](const core::LiteSessionState& state) {
-      const common::Address suspect = state.suspect;
-      const std::uint64_t h =
-          corridorHash(config_.seed, suspect.value(), currentEpoch_, 13);
-      const std::uint64_t probeId =
-          corridorHash(config_.seed, suspect.value(), currentEpoch_, 14);
-      seg->log.push_back({currentEpoch_,
-                          static_cast<std::uint8_t>(CorridorLogKind::kProbe),
-                          suspect.value(), 0, state.probesSent});
-      sim_.schedule(
-          sim::Duration::microseconds(400'000 +
-                                      static_cast<std::int64_t>(h % 100'000)),
-          [seg, suspect, probeId] {
-            seg->rsu->sendTo(suspect,
-                             net::makePayload<CorridorProbe>(
-                                 probeId, common::Address{kFakeAddressBase +
-                                                          (probeId & 0xffff)}));
-          });
-    };
-    hooks.onVerdict = [this, seg](const core::LiteSessionState& state,
-                                  core::LiteVerdict verdict) {
-      const std::int64_t latencyUs =
-          sim_.now().us() - state.firstReportAtUs;
-      seg->log.push_back(
-          {currentEpoch_,
-           static_cast<std::uint8_t>(CorridorLogKind::kVerdict),
-           state.suspect.value(), static_cast<std::uint64_t>(verdict),
-           static_cast<std::uint64_t>(latencyUs)});
-      if (verdict != core::LiteVerdict::kConfirmed) return;
-      // Whole milliseconds: integer-valued doubles sum exactly, so the
-      // merged histogram sum is independent of observation order — fractional
-      // latencies would make shards=1 vs shards=N differ in the last ulp.
-      metrics_
-          .histogram("corridor.detection_latency_ms", obs::latencyBucketsMs())
-          .observe(static_cast<double>(latencyUs / 1000));
-      insertSorted(seg->isolated, state.suspect);
-      seg->rsu->broadcast(net::makePayload<CorridorIsolation>(state.suspect));
-      metrics_.counter("corridor.isolation_broadcasts").add(1);
-      seg->log.push_back(
-          {currentEpoch_,
-           static_cast<std::uint8_t>(CorridorLogKind::kIsolation),
-           state.suspect.value(), 0, 0});
-      for (const std::uint8_t dir : {std::uint8_t{0}, std::uint8_t{1}}) {
-        const std::int64_t next = dir == 0
-                                      ? static_cast<std::int64_t>(seg->index) + 1
-                                      : static_cast<std::int64_t>(seg->index) - 1;
-        if (next < 0 || next >= static_cast<std::int64_t>(config_.segments)) {
-          continue;
-        }
-        common::ByteWriter w;
-        w.writeId(state.suspect);
-        w.writeU8(dir);
-        w.writeU8(2);  // ttl: isolation gossips two segments each way
-        emit(*seg, static_cast<std::uint32_t>(next),
-             CorridorEnvelopeKind::kRevocation, std::move(w).take());
-      }
-    };
-    hooks.onHandoff = [this, seg](const core::LiteSessionState& state) {
-      const std::int64_t next =
-          state.travelDirection == 0
-              ? static_cast<std::int64_t>(seg->index) + 1
-              : static_cast<std::int64_t>(seg->index) - 1;
-      if (next < 0 || next >= static_cast<std::int64_t>(config_.segments)) {
-        metrics_.counter("corridor.handoffs_dropped").add(1);
-        return;
-      }
-      seg->log.push_back(
-          {currentEpoch_,
-           static_cast<std::uint8_t>(CorridorLogKind::kHandoffOut),
-           state.suspect.value(), static_cast<std::uint64_t>(next),
-           state.forwards});
-      common::ByteWriter w;
-      state.serialize(w);
-      emit(*seg, static_cast<std::uint32_t>(next),
-           CorridorEnvelopeKind::kSessionHandoff, std::move(w).take());
-    };
-    segment->detector = std::make_unique<core::LiteDetector>(config_.detector,
-                                                             std::move(hooks));
+    // The detector core's defaults, except that a probe waits for the next
+    // epoch boundary, the only time the RSU looks at its deadlines.
+    core::DetectorConfig detectorConfig;
+    detectorConfig.probeTimeout = sim::Duration::microseconds(kEpochUs);
+    segment->detector = std::make_unique<core::LiteDetector>(
+        detectorConfig, index, detectorHooks(*segment));
     installRsuHandlers(*segment);
     segments_.push_back(std::move(segment));
   }
@@ -282,14 +224,7 @@ const std::vector<CorridorLogRecord>& CorridorShard::segmentLog(
 net::MediumStats CorridorShard::mediumStats() const {
   const net::MediumStats& live = medium_.stats();
   net::MediumStats total = mediumBaseline_;
-  total.framesSent += live.framesSent;
-  total.framesDelivered += live.framesDelivered;
-  total.framesLost += live.framesLost;
-  total.framesFaultDropped += live.framesFaultDropped;
-  total.framesBurstDropped += live.framesBurstDropped;
-  total.framesJamDropped += live.framesJamDropped;
-  total.sendFailures += live.sendFailures;
-  total.bytesSent += live.bytesSent;
+  for (const auto field : kCarriedMediumStats) total.*field += live.*field;
   total.gridRebuilds += live.gridRebuilds;
   return total;
 }
@@ -313,6 +248,154 @@ void CorridorShard::forEachSegment(
   }
 }
 
+core::LiteDetector::Hooks CorridorShard::detectorHooks(Segment& segment) {
+  Segment* seg = &segment;
+  const auto log = [this, seg](CorridorLogKind kind, std::uint64_t a,
+                               std::uint64_t b, std::uint64_t value) {
+    seg->log.push_back(
+        {currentEpoch_, static_cast<std::uint8_t>(kind), a, b, value});
+  };
+  core::LiteDetector::Hooks hooks;
+  hooks.present = [seg](common::Address suspect) {
+    return suspect.value() >= kVehicleAddressBase &&
+           seg->vehicles.contains(vehicleIdOf(suspect));
+  };
+  // The probe goes on the air at the next epoch start (transmitProbes). The
+  // RSU probes under its own address, for a fake destination unique within
+  // the segment.
+  hooks.sendProbe = [seg](core::DetectionSession& s, common::Address,
+                          std::uint32_t rreqId, bool freshIdentity) {
+    if (freshIdentity) {
+      s.disposable = rsuAddress(seg->index);
+      s.fakeDestination = common::Address{kFakeAddressBase + rreqId};
+    }
+  };
+  hooks.forward = [this, seg, log](const core::DetectionSession& s) {
+    const std::optional<std::uint32_t> next = neighbour(
+        *seg, vehicleSpec(config_, vehicleIdOf(s.suspect)).eastbound);
+    if (!next) return false;  // it drove off the corridor
+    const core::DetectionSession moved = core::LiteDetector::handedOff(s);
+    log(CorridorLogKind::kHandoffOut, s.suspect.value(), *next,
+        moved.forwardCount);
+    metrics_.counter("corridor.handoffs_out").add(1);
+    common::ByteWriter w;
+    moved.serialize(w);
+    emit(*seg, *next, CorridorEnvelopeKind::kSessionHandoff,
+         std::move(w).take());
+    return true;
+  };
+  hooks.onEvent = [this, log](const core::DetectionSession& s,
+                              core::SessionEvent event,
+                              common::Address other) {
+    if (event == core::SessionEvent::kOpened) {
+      metrics_.counter("corridor.sessions_opened").add(1);
+    } else if (event == core::SessionEvent::kReportMerged) {
+      metrics_.counter("corridor.duplicate_reports").add(1);
+    } else if (event == core::SessionEvent::kProbeReply) {
+      log(CorridorLogKind::kViolation, s.suspect.value(), other.value(),
+          static_cast<std::uint64_t>(s.stage));
+      metrics_.counter("corridor.probe_replies").add(1);
+    }
+  };
+  hooks.onVerdict = [this, seg, log](core::DetectionSession& s,
+                                     core::Verdict verdict) {
+    const std::int64_t latencyUs = sim_.now().us() - s.startedAt.us();
+    log(CorridorLogKind::kVerdict, s.suspect.value(),
+        static_cast<std::uint64_t>(verdict),
+        static_cast<std::uint64_t>(latencyUs));
+    const bool cooperative = verdict == core::Verdict::kCooperativeBlackHole;
+    if (!cooperative && verdict != core::Verdict::kSingleBlackHole) {
+      metrics_
+          .counter(verdict == core::Verdict::kNotConfirmed
+                       ? "corridor.not_confirmed"
+                       : "corridor.session_unreachable")
+          .add(1);
+      return;
+    }
+    metrics_.counter("corridor.confirmed").add(1);
+    if (cooperative) metrics_.counter("corridor.cooperative").add(1);
+    // Whole milliseconds: integer-valued doubles sum exactly, so the
+    // merged histogram sum is independent of observation order — fractional
+    // latencies would make shards=1 vs shards=N differ in the last ulp.
+    metrics_
+        .histogram("corridor.detection_latency_ms", obs::latencyBucketsMs())
+        .observe(static_cast<double>(latencyUs / 1000));
+    isolate(*seg, s.suspect);
+    if (cooperative) isolate(*seg, s.accomplice);
+  };
+  return hooks;
+}
+
+void CorridorShard::isolate(Segment& segment, common::Address suspect) {
+  insertSorted(segment.isolated, suspect);
+  segment.rsu->broadcast(net::makePayload<CorridorIsolation>(suspect));
+  metrics_.counter("corridor.isolation_broadcasts").add(1);
+  segment.log.push_back({currentEpoch_,
+                         static_cast<std::uint8_t>(CorridorLogKind::kIsolation),
+                         suspect.value(), 0, 0});
+  // Isolation gossips two segments each way.
+  gossipRevocation(segment, suspect, 0, 2);
+  gossipRevocation(segment, suspect, 1, 2);
+}
+
+std::optional<std::uint32_t> CorridorShard::neighbour(const Segment& segment,
+                                                      bool eastward) const {
+  const std::int64_t next =
+      static_cast<std::int64_t>(segment.index) + (eastward ? 1 : -1);
+  if (next < 0 || next >= static_cast<std::int64_t>(config_.segments)) {
+    return std::nullopt;
+  }
+  return static_cast<std::uint32_t>(next);
+}
+
+void CorridorShard::gossipRevocation(Segment& from, common::Address suspect,
+                                     std::uint8_t direction,
+                                     std::uint8_t ttl) {
+  const std::optional<std::uint32_t> next = neighbour(from, direction == 0);
+  if (!next) return;
+  common::ByteWriter w;
+  w.writeId(suspect);
+  w.writeU8(direction);
+  w.writeU8(ttl);
+  emit(from, *next, CorridorEnvelopeKind::kRevocation, std::move(w).take());
+}
+
+void CorridorShard::transmitProbes(Segment& segment, std::uint32_t epoch) {
+  // A probe armed since the last epoch start has its deadline within the
+  // coming epoch. Suspect order keeps the send schedule independent of the
+  // table's slot history (a restored table has a different one).
+  const sim::TimePoint now = sim_.now();
+  std::vector<const core::DetectionSession*> due;
+  segment.detector->forEachSession([&](const core::DetectionSession& s) {
+    if (s.deadlineKind == core::DeadlineKind::kProbeTimeout &&
+        s.deadline > now) {
+      due.push_back(&s);
+    }
+  });
+  std::sort(due.begin(), due.end(), [](const auto* a, const auto* b) {
+    return a->suspect < b->suspect;
+  });
+  for (const core::DetectionSession* s : due) {
+    const common::Address target =
+        s->stage == core::ProbeStage::kTeammate ? s->accomplice : s->suspect;
+    segment.log.push_back({epoch,
+                           static_cast<std::uint8_t>(CorridorLogKind::kProbe),
+                           s->suspect.value(), target.value(),
+                           static_cast<std::uint64_t>(s->stage)});
+    metrics_.counter("corridor.probes_sent").add(1);
+    const std::uint64_t h =
+        corridorHash(config_.seed, s->suspect.value(), epoch, 13);
+    sim_.schedule(
+        sim::Duration::microseconds(400'000 +
+                                    static_cast<std::int64_t>(h % 100'000)),
+        [rsu = segment.rsu.get(), target,
+         payload = net::PayloadPtr{
+             core::probeRequest(*s, s->stageRreqIds.back())}] {
+          rsu->sendTo(target, payload);
+        });
+  }
+}
+
 void CorridorShard::installRsuHandlers(Segment& segment) {
   Segment* seg = &segment;
   segment.rsu->addHandler([this, seg](const net::Frame& frame) {
@@ -332,21 +415,15 @@ void CorridorShard::installRsuHandlers(Segment& segment) {
              static_cast<std::uint8_t>(CorridorLogKind::kReport),
              report->suspect.value(), frame.src.value(), report->chainId});
         if (containsSorted(seg->isolated, report->suspect)) return true;
-        const auto suspectId = static_cast<std::uint32_t>(
-            report->suspect.value() - kVehicleAddressBase);
-        const VehicleSpec spec = vehicleSpec(config_, suspectId);
-        seg->detector->report(report->suspect, frame.src, sim_.now().us(),
-                              spec.eastbound ? 0 : 1);
+        std::optional<core::DetectionSession> opened = seg->detector->report(
+            report->suspect, {frame.src, common::ClusterId{}}, sim_.now());
+        if (opened) seg->detector->adopt(std::move(*opened), sim_.now());
         return true;
       }
-      case net::PayloadKind::kCorridorProbeReply: {
-        const auto* reply =
-            static_cast<const CorridorProbeReply*>(frame.payload.get());
-        seg->log.push_back(
-            {currentEpoch_,
-             static_cast<std::uint8_t>(CorridorLogKind::kViolation),
-             frame.src.value(), 0, reply->probeId});
-        seg->detector->onProbeReply(frame.src);
+      case net::PayloadKind::kRouteReply: {
+        const auto* rrep =
+            static_cast<const aodv::RouteReply*>(frame.payload.get());
+        seg->detector->onProbeReply(*rrep, frame.src, sim_.now());
         return true;
       }
       default:
@@ -355,8 +432,8 @@ void CorridorShard::installRsuHandlers(Segment& segment) {
   });
   segment.rsu->addFailureHandler([this, seg](const net::Frame& frame) {
     if (rsuDark(seg->index, currentEpoch_)) return;
-    if (frame.payload->kind() == net::PayloadKind::kCorridorProbe) {
-      seg->detector->onProbeUnreachable(frame.dst);
+    if (const auto* rreq = net::payloadAs<aodv::RouteRequest>(frame.payload)) {
+      seg->detector->onProbeUnreachable(*rreq);
     }
   });
 }
@@ -436,15 +513,31 @@ void CorridorShard::installVehicleHandlers(Segment& /*segment*/,
         }
         return true;
       }
-      case net::PayloadKind::kCorridorProbe: {
-        if (v->spec.attacker) {
-          // Claims it delivered to the nonexistent destination — the
-          // fingerprint the probe exists to elicit.
-          const auto* probe =
-              static_cast<const CorridorProbe*>(frame.payload.get());
-          v->node->sendTo(frame.src,
-                          net::makePayload<CorridorProbeReply>(probe->probeId));
+      case net::PayloadKind::kRouteRequest: {
+        // An honest vehicle has no route to a destination that does not
+        // exist and stays silent. A black hole claims one, fresher than
+        // asked for, and names its teammate when asked for the next hop.
+        if (!v->spec.attacker) return true;
+        const auto* rreq =
+            static_cast<const aodv::RouteRequest*>(frame.payload.get());
+        auto rrep = net::makeMutablePayload<aodv::RouteReply>();
+        rrep->rreqId = rreq->rreqId;
+        rrep->origin = rreq->origin;
+        rrep->destination = rreq->destination;
+        rrep->destSeq =
+            (rreq->unknownDestSeq ? 0 : rreq->destSeq) + kForgedSeqBoost;
+        rrep->replier = v->node->localAddress();
+        if (rreq->inquireNextHop && v->digest != nullptr) {
+          // The digest is sorted, so the first attacker is the lowest id.
+          for (const common::Address member : v->digest->members) {
+            if (member != rrep->replier &&
+                vehicleSpec(config_, vehicleIdOf(member)).attacker) {
+              rrep->claimedNextHop = member;
+              break;
+            }
+          }
         }
+        v->node->sendTo(frame.src, std::move(rrep));
         return true;
       }
       case net::PayloadKind::kCorridorIsolation: {
@@ -542,13 +635,10 @@ void CorridorShard::beginEpoch(Segment& segment, std::uint32_t epoch) {
     sim_.schedule(sim::Duration::microseconds(200),
                   [rsu, digest] { rsu->broadcast(digest); });
 
-    // One probe round per live session; absent suspects hand off.
-    segment.detector->beginEpoch([&segment](common::Address suspect) {
-      if (suspect.value() < kVehicleAddressBase) return false;
-      const auto id =
-          static_cast<std::uint32_t>(suspect.value() - kVehicleAddressBase);
-      return segment.vehicles.find(id) != segment.vehicles.end();
-    });
+    // Deadlines that passed (resends, hand-offs, verdicts), then one probe
+    // per session whose probe is pending.
+    segment.detector->fireDeadlines(sim_.now());
+    transmitProbes(segment, epoch);
   }
 
   // Per-vehicle traffic: a beacon each, a data chain for roughly half.
@@ -637,17 +727,19 @@ void CorridorShard::applyEnvelope(const shard::Envelope& envelope) {
       break;
     }
     case CorridorEnvelopeKind::kSessionHandoff: {
-      const core::LiteSessionState state =
-          core::LiteSessionState::deserialize(reader);
-      if (containsSorted(segment.isolated, state.suspect)) {
+      core::DetectionSession session =
+          core::DetectionSession::deserialize(reader);
+      if (containsSorted(segment.isolated, session.suspect)) {
         metrics_.counter("corridor.handoffs_dropped").add(1);
         break;
       }
       segment.log.push_back(
           {currentEpoch_,
            static_cast<std::uint8_t>(CorridorLogKind::kHandoffIn),
-           state.suspect.value(), envelope.srcSegment, state.forwards});
-      segment.detector->adopt(state);
+           session.suspect.value(), envelope.srcSegment,
+           session.forwardCount});
+      metrics_.counter("corridor.handoffs_adopted").add(1);
+      segment.detector->adopt(std::move(session), sim_.now());
       break;
     }
     case CorridorEnvelopeKind::kRevocation: {
@@ -663,17 +755,8 @@ void CorridorShard::applyEnvelope(const shard::Envelope& envelope) {
              suspect.value(), direction, ttl});
       }
       if (ttl > 1) {
-        const std::int64_t next =
-            direction == 0 ? static_cast<std::int64_t>(segment.index) + 1
-                           : static_cast<std::int64_t>(segment.index) - 1;
-        if (next >= 0 && next < static_cast<std::int64_t>(config_.segments)) {
-          common::ByteWriter w;
-          w.writeId(suspect);
-          w.writeU8(direction);
-          w.writeU8(static_cast<std::uint8_t>(ttl - 1));
-          emit(segment, static_cast<std::uint32_t>(next),
-               CorridorEnvelopeKind::kRevocation, std::move(w).take());
-        }
+        gossipRevocation(segment, suspect, direction,
+                         static_cast<std::uint8_t>(ttl - 1));
       }
       break;
     }
@@ -729,20 +812,6 @@ void CorridorShard::runEpoch(std::uint32_t epoch,
 void CorridorShard::foldFinalStats() {
   if (folded_) return;
   folded_ = true;
-  for (const auto& segment : segments_) {
-    const core::LiteDetector::Stats& stats = segment->detector->stats();
-    metrics_.counter("corridor.sessions_opened").add(stats.sessionsOpened);
-    metrics_.counter("corridor.duplicate_reports").add(stats.duplicateReports);
-    metrics_.counter("corridor.probe_rounds").add(stats.probeRounds);
-    metrics_.counter("corridor.violations").add(stats.violations);
-    metrics_.counter("corridor.probes_unreachable")
-        .add(stats.probesUnreachable);
-    metrics_.counter("corridor.confirmed").add(stats.confirmed);
-    metrics_.counter("corridor.exonerated").add(stats.exonerated);
-    metrics_.counter("corridor.session_unreachable").add(stats.unreachable);
-    metrics_.counter("corridor.handoffs_out").add(stats.handoffsOut);
-    metrics_.counter("corridor.handoffs_adopted").add(stats.adopted);
-  }
   // Medium stats minus gridRebuilds: rebuild cadence depends on per-shard
   // attach/invalidate patterns, so it is the one non-invariant stat.
   const net::MediumStats m = mediumStats();
@@ -786,14 +855,7 @@ void CorridorShard::saveState(common::ByteWriter& writer) const {
   // medium then counts only post-restore traffic. gridRebuilds is excluded
   // on purpose (non-invariant, never folded).
   const net::MediumStats m = mediumStats();
-  writer.writeU64(m.framesSent);
-  writer.writeU64(m.framesDelivered);
-  writer.writeU64(m.framesLost);
-  writer.writeU64(m.framesFaultDropped);
-  writer.writeU64(m.framesBurstDropped);
-  writer.writeU64(m.framesJamDropped);
-  writer.writeU64(m.sendFailures);
-  writer.writeU64(m.bytesSent);
+  for (const auto field : kCarriedMediumStats) writer.writeU64(m.*field);
 }
 
 void CorridorShard::restoreState(common::ByteReader& reader) {
@@ -834,6 +896,16 @@ void CorridorShard::restoreState(common::ByteReader& reader) {
       if (id >= config_.vehicles || anchorUs < 0 || anchorUs > nowUs) {
         throw std::out_of_range{"corridor restore: implausible vehicle"};
       }
+      // Where the uninterrupted run has it: entered before this boundary,
+      // not yet departed, and inside this segment. Each segment belongs to
+      // one shard, so this also rules out an id resident in two shards.
+      const VehicleSpec spec = vehicleSpec(config_, id);
+      const double x = vehicleX(spec, nowUs);
+      if (spec.entryEpoch >= currentEpoch_ ||
+          spec.departEpoch < currentEpoch_ || x < 0.0 ||
+          static_cast<std::uint32_t>(x / kSegmentLengthM) != segment->index) {
+        throw std::out_of_range{"corridor restore: vehicle not resident here"};
+      }
       buildVehicle(*segment, id, std::move(blacklist), anchorUs);
     }
     const std::uint32_t logCount = reader.readU32();
@@ -850,14 +922,9 @@ void CorridorShard::restoreState(common::ByteReader& reader) {
   }
   metrics_.merge(obs::deserializeSnapshot(reader));
   mediumBaseline_ = net::MediumStats{};
-  mediumBaseline_.framesSent = reader.readU64();
-  mediumBaseline_.framesDelivered = reader.readU64();
-  mediumBaseline_.framesLost = reader.readU64();
-  mediumBaseline_.framesFaultDropped = reader.readU64();
-  mediumBaseline_.framesBurstDropped = reader.readU64();
-  mediumBaseline_.framesJamDropped = reader.readU64();
-  mediumBaseline_.sendFailures = reader.readU64();
-  mediumBaseline_.bytesSent = reader.readU64();
+  for (const auto field : kCarriedMediumStats) {
+    mediumBaseline_.*field = reader.readU64();
+  }
 }
 
 // ----------------------------------------------------------- CorridorWorld
@@ -972,6 +1039,10 @@ common::Status CorridorWorld::restoreCheckpoint(
           common::ByteReader reader{*shardSections[s]};
           shards_[s]->restoreState(reader);
           codec::expectConsumed(reader, "shard");
+          if (shards_[s]->clockEpoch() != epoch) {
+            return common::Error{"malformed",
+                                 "shard clock disagrees with the meta epoch"};
+          }
         }
         common::ByteReader exchange =
             checkpoint.section(codec::CheckpointTag::kCorridorExchange);
@@ -997,9 +1068,7 @@ std::uint64_t CorridorWorld::configHash() const {
   std::uint64_t h = corridorHash(config_.seed, config_.segments,
                                  config_.vehicles, 90);
   h = corridorHash(h, config_.attackerPermille, config_.departPermille, 91);
-  h = corridorHash(h, config_.detector.probesToConfirm,
-                   config_.detector.maxProbes, 92);
-  h = corridorHash(h, config_.detector.maxForwards, plan_.shards(), 93);
+  h = corridorHash(h, plan_.shards(), 0, 93);
   h = corridorHash(h, effectiveSupervisionEvery(config_), 0, 94);
   for (const fault::ShardCrashEvent& crash : config_.faults.shardCrashes) {
     h = corridorHash(h, crash.epoch, crash.shard, 95);
@@ -1030,9 +1099,7 @@ std::vector<std::string> CorridorWorld::checkInvariants() const {
       const bool isVehicle =
           address.value() >= kVehicleAddressBase &&
           address.value() < kVehicleAddressBase + config_.vehicles;
-      const auto id =
-          static_cast<std::uint32_t>(address.value() - kVehicleAddressBase);
-      if (!isVehicle || !vehicleSpec(config_, id).attacker) {
+      if (!isVehicle || !vehicleSpec(config_, vehicleIdOf(address)).attacker) {
         broken.push_back("honest-isolation: segment " +
                          std::to_string(segment) + " isolated " +
                          std::to_string(address.value()) +
@@ -1040,17 +1107,19 @@ std::vector<std::string> CorridorWorld::checkInvariants() const {
       }
     }
     totalSessions += detector.activeSessions();
-    detector.forEachSession([&](const core::LiteSessionState& session) {
-      if (session.probesSent > config_.detector.maxProbes ||
-          session.forwards > config_.detector.maxForwards ||
-          session.violations >= config_.detector.probesToConfirm) {
+    const core::DetectorConfig& budgets = detector.config();
+    detector.forEachSession([&](const core::DetectionSession& session) {
+      const int retryBudget = session.stage == core::ProbeStage::kRreq1
+                                  ? budgets.probeRetries
+                                  : budgets.stageRetries;
+      if (session.retriesLeft > retryBudget ||
+          session.forwardCount > budgets.maxForwards) {
         broken.push_back(
             "tables-drained: segment " + std::to_string(segment) +
             " session for " + std::to_string(session.suspect.value()) +
-            " exceeds its budgets (probes " +
-            std::to_string(session.probesSent) + ", forwards " +
-            std::to_string(session.forwards) + ", violations " +
-            std::to_string(session.violations) + ")");
+            " exceeds its budgets (resends left " +
+            std::to_string(session.retriesLeft) + ", forwards " +
+            std::to_string(session.forwardCount) + ")");
       }
     });
   });

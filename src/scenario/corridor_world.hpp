@@ -33,11 +33,23 @@
 //             destination -> ack, relay and destination hash-picked from
 //             the digest. A black-hole relay silently drops; the origin's
 //             200 ms ack timeout then files a REPORT with the RSU.
-//   epoch start: the RSU's LiteDetector runs one probe round per live
-//             session (fake-destination probe at 400-500 ms; a reply is a
-//             violation, K = 2 violations confirm, quiet rounds exonerate).
-//   verdict: confirmed suspects are dropped from future digests, announced
-//             in-segment, and revoked outward via ttl-2 directional gossip.
+//   detection: each RSU drives core::LiteDetector, the same §III-B session
+//             core RsuDetector runs, with probe deadlines of one epoch. A
+//             report opens a session at once; at each epoch start the RSU
+//             fires the deadlines that passed (resends, hand-offs of absent
+//             suspects, verdicts), then puts every session's one pending
+//             probe on the air at 400-500 ms as an aodv::RouteRequest: RREQ₁
+//             for a fake destination, RREQ₂ with sn + 1 and a next-hop
+//             inquiry, then RREQ₁ at the named teammate. A reply is judged
+//             when it arrives; the probe it triggers waits for the next
+//             epoch, so a session sends at most one probe per epoch.
+//   attackers: a black hole answers every probe with a sequence number
+//             above the one asked for, and names as next hop the lowest-id
+//             other attacker in its segment's digest. That teammate answers
+//             too, so the pair is confirmed cooperative.
+//   verdict: confirmed suspects (and a cooperative teammate) are dropped
+//             from future digests, announced in-segment, and revoked outward
+//             via ttl-2 directional gossip.
 #pragma once
 
 #include <cstdint>
@@ -135,28 +147,6 @@ class CorridorReport final : public net::Payload {
   std::uint64_t chainId;
 };
 
-class CorridorProbe final : public net::Payload {
- public:
-  static constexpr net::PayloadKind kKind = net::PayloadKind::kCorridorProbe;
-  CorridorProbe(std::uint64_t probeIdIn, common::Address fakeDstIn)
-      : Payload{kKind}, probeId{probeIdIn}, fakeDst{fakeDstIn} {}
-  [[nodiscard]] std::string_view typeName() const override { return "cprobe"; }
-  [[nodiscard]] std::uint32_t sizeBytes() const override { return 48; }
-  std::uint64_t probeId;
-  common::Address fakeDst;  ///< nonexistent; honest nodes stay silent
-};
-
-class CorridorProbeReply final : public net::Payload {
- public:
-  static constexpr net::PayloadKind kKind =
-      net::PayloadKind::kCorridorProbeReply;
-  explicit CorridorProbeReply(std::uint64_t probeIdIn)
-      : Payload{kKind}, probeId{probeIdIn} {}
-  [[nodiscard]] std::string_view typeName() const override { return "cpreply"; }
-  [[nodiscard]] std::uint32_t sizeBytes() const override { return 32; }
-  std::uint64_t probeId;
-};
-
 class CorridorIsolation final : public net::Payload {
  public:
   static constexpr net::PayloadKind kKind =
@@ -176,7 +166,6 @@ struct CorridorConfig {
   std::uint32_t vehicles{10000};
   std::uint32_t attackerPermille{10};  ///< ~1% black holes
   std::uint32_t departPermille{20};    ///< ~2% leave mid-run (epochs 6-9)
-  core::LiteDetector::Config detector{};
   /// Scripted infrastructure faults. Only shardCrashes and rsuOutages are
   /// meaningful in the corridor; both are epoch-indexed and part of the
   /// config hash, so a checkpoint can only resume under the same plan.
@@ -221,7 +210,7 @@ inline constexpr std::uint64_t kFakeAddressBase = 0x3'0000'0000ull;
 /// Cross-segment envelope kinds (shard::Envelope::kind).
 enum class CorridorEnvelopeKind : std::uint8_t {
   kMigration = 1,      ///< vehicle crossed a boundary: id + blacklist
-  kSessionHandoff,     ///< LiteSessionState chasing a migrated suspect
+  kSessionHandoff,     ///< a handed-off DetectionSession chasing its suspect
   kRevocation,         ///< directional isolation gossip: suspect + dir + ttl
 };
 
@@ -272,7 +261,7 @@ class CorridorShard final : public shard::ShardWorld {
                 std::vector<shard::Envelope>& outbox) override;
 
   /// Serializes the shard's complete epoch-boundary state: per-segment
-  /// isolation lists, detector sessions + stats, resident vehicles (id,
+  /// isolation lists, detector tables, resident vehicles (id,
   /// motion anchor, blacklist), the full canonical log, the metrics
   /// registry, and the effective medium stats. Everything transient
   /// (digests, chains, ack timers) is dead at a boundary by construction,
@@ -281,11 +270,13 @@ class CorridorShard final : public shard::ShardWorld {
 
   /// Inverse of saveState into a freshly constructed shard. Restored
   /// vehicles re-anchor their LinearMotion at the ORIGINAL anchor time, so
-  /// positions stay bit-identical to the uninterrupted run.
+  /// positions stay bit-identical to the uninterrupted run. A resident
+  /// vehicle must have entered, not departed, and sit inside its segment at
+  /// the restored boundary — which also keeps every id in one shard only.
   void restoreState(common::ByteReader& reader) override;
 
-  /// Folds detector and medium stats into the registry; call once, after
-  /// the final epoch. gridRebuilds is deliberately NOT folded — it depends
+  /// Folds medium stats into the registry; call once, after the final
+  /// epoch. gridRebuilds is deliberately NOT folded — it depends
   /// on per-shard attach patterns and is the one non-invariant medium stat.
   void foldFinalStats();
 
@@ -294,6 +285,10 @@ class CorridorShard final : public shard::ShardWorld {
   /// every pre-checkpoint epoch.
   [[nodiscard]] net::MediumStats mediumStats() const;
   [[nodiscard]] std::uint32_t firstSegment() const { return firstSegment_; }
+  /// The epoch the shard's clock stands at (the next one it runs).
+  [[nodiscard]] std::uint32_t clockEpoch() const {
+    return static_cast<std::uint32_t>(sim_.now().us() / kEpochUs);
+  }
   [[nodiscard]] std::uint32_t segmentCount() const {
     return static_cast<std::uint32_t>(segments_.size());
   }
@@ -326,6 +321,17 @@ class CorridorShard final : public shard::ShardWorld {
             common::Bytes body);
   void installRsuHandlers(Segment& segment);
   void installVehicleHandlers(Segment& segment, Vehicle& vehicle);
+  [[nodiscard]] core::LiteDetector::Hooks detectorHooks(Segment& segment);
+  /// Puts every probe armed since the last epoch start on the air.
+  void transmitProbes(Segment& segment, std::uint32_t epoch);
+  /// Drops `suspect` from future digests, announces it in-segment, and
+  /// gossips its revocation two segments each way.
+  void isolate(Segment& segment, common::Address suspect);
+  void gossipRevocation(Segment& from, common::Address suspect,
+                        std::uint8_t direction, std::uint8_t ttl);
+  /// The adjacent segment that way, unless the corridor ends there.
+  [[nodiscard]] std::optional<std::uint32_t> neighbour(const Segment& segment,
+                                                       bool eastward) const;
   void startDataChain(Segment& segment, Vehicle& vehicle, std::uint32_t epoch);
   /// True while `segment`'s RSU is scripted dark for `epoch`.
   [[nodiscard]] bool rsuDark(std::uint32_t segment, std::uint32_t epoch) const;
@@ -401,9 +407,9 @@ class CorridorWorld {
   ///                     attacker (vehicleSpec(seed, id).attacker): the
   ///                     detector never convicts an honest vehicle;
   ///   tables-drained    every live detection session respects its budgets
-  ///                     (probesSent <= maxProbes, forwards <= maxForwards,
-  ///                     violations < probesToConfirm) and the total
-  ///                     session count never exceeds the fleet.
+  ///                     (resends left <= the stage's retry budget,
+  ///                     forwards <= maxForwards) and the total session
+  ///                     count never exceeds the fleet.
   [[nodiscard]] std::vector<std::string> checkInvariants() const;
 
   /// Deterministic, partition-invariant: merged per-shard registries
@@ -427,7 +433,7 @@ class CorridorWorld {
 
  private:
   /// Pure hash over every behavior-determining config field (seed, sizes,
-  /// permilles, detector knobs, shard count, supervision, fault plan) —
+  /// permilles, shard count, supervision, fault plan) —
   /// the resume guard in the checkpoint meta section.
   [[nodiscard]] std::uint64_t configHash() const;
 

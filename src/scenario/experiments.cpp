@@ -63,97 +63,6 @@ Fig4Cell runFig4Cell(AttackType attack, common::ClusterId cluster,
   return cell;
 }
 
-namespace {
-
-/// One Fig. 4 trial's foldable outcome. Telemetry is carried as a snapshot
-/// of a trial-local registry so the caller can merge in submission order.
-struct Fig4TrialOutcome {
-  bool falsePositive{false};
-  bool confirmedOnAttacker{false};
-  obs::Snapshot telemetry;
-};
-
-Fig4TrialOutcome runFig4Trial(AttackType attack, common::ClusterId cluster,
-                              std::uint64_t seed, bool wantTelemetry) {
-  ScenarioConfig config;
-  config.seed = seed;
-  config.attack = attack;
-  config.attackerCluster = cluster;
-
-  HighwayScenario scenario(config);
-  const core::VerificationReport report = scenario.runVerification();
-  const DetectionSummary summary = scenario.detectionSummary();
-
-  Fig4TrialOutcome outcome;
-  outcome.falsePositive = summary.falsePositive;
-  outcome.confirmedOnAttacker = summary.confirmedOnAttacker;
-  if (wantTelemetry) {
-    obs::MetricsRegistry local;
-    core::recordVerifierTelemetry(local, report);
-    for (const core::SessionRecord& record : summary.sessions) {
-      core::recordSessionTelemetry(local, record);
-    }
-    outcome.telemetry = local.snapshot();
-  }
-  return outcome;
-}
-
-}  // namespace
-
-std::vector<Fig4Cell> runFig4Sweep(
-    std::uint32_t trials, std::uint64_t seedBase,
-    const std::function<void(const Fig4Cell&)>& onCell,
-    obs::MetricsRegistry* registry, const sim::ParallelRunner* runner) {
-  struct Treatment {
-    AttackType attack;
-    common::ClusterId cluster;
-  };
-  std::vector<Treatment> treatments;
-  for (const AttackType attack :
-       {AttackType::kSingle, AttackType::kCooperative}) {
-    for (std::uint32_t c = 1; c <= 10; ++c) {
-      treatments.push_back({attack, common::ClusterId{c}});
-    }
-  }
-
-  // Flatten to (treatment × trial) so small sweeps still fill every worker.
-  const sim::ParallelRunner inlineRunner{1};
-  const sim::ParallelRunner& pool = runner ? *runner : inlineRunner;
-  const std::vector<Fig4TrialOutcome> outcomes =
-      pool.map<Fig4TrialOutcome>(treatments.size() * trials, [&](std::size_t i) {
-        const Treatment& treatment = treatments[i / trials];
-        const auto trial = static_cast<std::uint32_t>(i % trials);
-        return runFig4Trial(
-            treatment.attack, treatment.cluster,
-            trialSeed(seedBase, treatment.cluster.value(), treatment.attack,
-                      trial),
-            registry != nullptr);
-      });
-
-  // Fold in submission order: identical for any worker count, and identical
-  // cell counts to the serial runFig4Cell loop.
-  std::vector<Fig4Cell> cells;
-  for (std::size_t t = 0; t < treatments.size(); ++t) {
-    Fig4Cell cell;
-    cell.cluster = treatments[t].cluster;
-    cell.attack = treatments[t].attack;
-    cell.trials = trials;
-    for (std::uint32_t trial = 0; trial < trials; ++trial) {
-      const Fig4TrialOutcome& outcome = outcomes[t * trials + trial];
-      if (registry) registry->merge(outcome.telemetry);
-      if (outcome.falsePositive) ++cell.falsePositives;
-      if (outcome.confirmedOnAttacker) {
-        ++cell.detected;
-      } else {
-        ++cell.prevented;
-      }
-    }
-    cells.push_back(cell);
-    if (onCell) onCell(cells.back());
-  }
-  return cells;
-}
-
 // ---------------------------------------------------------------- Figure 5
 
 std::vector<Fig5Case> fig5Cases() {

@@ -6,7 +6,6 @@
 // Fig. 5 packet-count ranges).
 #pragma once
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -53,17 +52,6 @@ struct Fig4Cell {
                                    std::uint64_t seedBase,
                                    const ScenarioConfig& base = {},
                                    obs::MetricsRegistry* registry = nullptr);
-
-/// Full sweep: clusters 1..10 × {single, cooperative}. With a runner, the
-/// flattened (treatment × trial) grid fans out across its workers; trial
-/// results — including per-trial telemetry snapshots when a registry is
-/// given — fold in submission order, so the cells and the registry contents
-/// are independent of the worker count.
-[[nodiscard]] std::vector<Fig4Cell> runFig4Sweep(
-    std::uint32_t trials, std::uint64_t seedBase,
-    const std::function<void(const Fig4Cell&)>& onCell = nullptr,
-    obs::MetricsRegistry* registry = nullptr,
-    const sim::ParallelRunner* runner = nullptr);
 
 // ---------------------------------------------------------------- Figure 5
 

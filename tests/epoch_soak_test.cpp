@@ -9,7 +9,8 @@
 //     skew and structural section surgery behind a valid CRC, a foreign
 //     config, and 2,000 seeded mutations (byte set, bit flip, section
 //     truncate, section splice) behind a valid CRC, each restored into a
-//     fresh world — every one must come back ok or as a typed error.
+//     fresh world — every one must come back ok or as a typed error, and
+//     every accepted one must then run three epochs without throwing.
 // A counting world pins the driver's own contracts: fail-fast invariants
 // with a replay line, and chaos catching a resume that diverges.
 #include <gtest/gtest.h>
@@ -163,9 +164,12 @@ class EpochWorldTest : public ::testing::Test {
   /// envelope's own rejections never reach the world, so after one of those
   /// the world is still fresh and serves the next restore too. (Were that
   /// not so, the next restore would trip the world's fresh-world assert.)
-  common::Status restoreFresh(std::span<const std::uint8_t> bytes) {
+  /// An accepted restore then runs `epochsAfter` more epochs.
+  common::Status restoreFresh(std::span<const std::uint8_t> bytes,
+                              int epochsAfter = 0) {
     if (fresh_ == nullptr) fresh_ = case_.world(11).build();
     const common::Status status = fresh_->restore(bytes);
+    for (int i = 0; status.ok() && i < epochsAfter; ++i) fresh_->runEpoch();
     static const std::set<std::string> envelopeErrors{
         "bad-magic", "bad-version", "truncated", "bad-crc"};
     if (status.ok() || envelopeErrors.count(status.error().code) == 0) {
@@ -470,8 +474,9 @@ class EpochWorldTest : public ::testing::Test {
           break;
         }
       }
+      // An accepted mutation must also run on: three epochs, no throw.
       common::Status status;
-      ASSERT_NO_THROW(status = restoreFresh(mutated))
+      ASSERT_NO_THROW(status = restoreFresh(mutated, 3))
           << "mutation " << i << ": " << what;
       if (!status.ok()) {
         ASSERT_EQ(typedErrors().count(status.error().code), 1u)

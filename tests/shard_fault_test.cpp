@@ -13,6 +13,7 @@
 //     detection activity of its own.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <functional>
@@ -24,6 +25,8 @@
 
 #include "codec/checkpoint.hpp"
 #include "common/bytes.hpp"
+#include "core/lite_detector.hpp"
+#include "obs/registry.hpp"
 #include "scenario/corridor_world.hpp"
 #include "shard/envelope.hpp"
 #include "shard/integrity.hpp"
@@ -250,6 +253,160 @@ TEST(CorridorCheckpointTest, ResumingUnderADifferentPartitionStillMatches) {
   resumed.run(3);
   EXPECT_EQ(resumed.metricsJson(), tri.metricsJson());
   EXPECT_EQ(resumed.canonicalLog(), tri.canonicalLog());
+}
+
+// ------------------------------------------------ hostile shard sections
+
+/// The world the hostile-section cases start from: seed 11, 2 segments on 2
+/// shards, 24 vehicles, 20 % attackers, checkpointed after 4 epochs.
+scenario::CorridorConfig hostileCorridor() {
+  scenario::CorridorConfig config;
+  config.seed = 11;
+  config.segments = 2;
+  config.vehicles = 24;
+  config.attackerPermille = 200;
+  return config;
+}
+
+/// Where a kCorridorShard section keeps what the cases rewrite, found by
+/// walking the section (detector tables through their own decoder) rather
+/// than by fixed byte offsets.
+struct ShardSectionLayout {
+  std::vector<std::size_t> idOffsets;  ///< of each resident vehicle's id
+  std::vector<std::uint32_t> ids;
+  std::size_t snapshotOffset{0};  ///< the metrics snapshot
+};
+
+ShardSectionLayout walkShardSection(const common::Bytes& section) {
+  ShardSectionLayout layout;
+  common::ByteReader r{section};
+  const auto offset = [&] { return section.size() - r.remaining(); };
+  (void)r.readI64();  // clock
+  const std::uint32_t segments = r.readU32();
+  for (std::uint32_t s = 0; s < segments; ++s) {
+    (void)r.readU32();  // segment index
+    for (std::uint32_t n = r.readU32(); n > 0; --n) {
+      (void)r.readId<common::Address>();  // isolated
+    }
+    (void)r.readU64();  // detector: session-id counter
+    (void)r.readU32();  // detector: probe-id counter
+    for (std::uint32_t n = r.readU32(); n > 0; --n) {
+      (void)core::DetectionSession::deserialize(r);
+    }
+    for (std::uint32_t n = r.readU32(); n > 0; --n) {
+      layout.idOffsets.push_back(offset());
+      layout.ids.push_back(r.readU32());
+      (void)r.readI64();  // motion anchor
+      for (std::uint32_t b = r.readU32(); b > 0; --b) {
+        (void)r.readId<common::Address>();  // blacklist
+      }
+    }
+    for (std::uint32_t n = r.readU32(); n > 0; --n) {
+      (void)r.readU32();
+      (void)r.readU8();
+      (void)r.readU64();
+      (void)r.readU64();
+      (void)r.readU64();
+    }
+  }
+  layout.snapshotOffset = offset();
+  return layout;
+}
+
+class HostileShardSectionTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    scenario::CorridorWorld world{hostileCorridor(), 2, runner_.threadPool()};
+    while (world.nextEpoch() < 4) world.step();
+    const auto decoded = codec::decodeCheckpoint(world.saveCheckpoint());
+    ASSERT_TRUE(decoded.ok());
+    checkpoint_ = decoded.value();
+  }
+
+  /// The checkpoint with shard section `shard` replaced by `rewrite(body)`,
+  /// resealed under a valid CRC.
+  common::Bytes rewritten(
+      std::size_t shard, const std::function<common::Bytes(common::Bytes)>& rewrite) {
+    codec::CheckpointBuilder builder;
+    std::size_t seen = 0;
+    for (const codec::CheckpointSection& section : checkpoint_.sections) {
+      const auto tag = static_cast<codec::CheckpointTag>(section.tag);
+      const bool target =
+          tag == codec::CheckpointTag::kCorridorShard && seen++ == shard;
+      builder.add(tag, target ? rewrite(section.body) : section.body);
+    }
+    return builder.finish();
+  }
+
+  [[nodiscard]] const common::Bytes& shardSection(std::size_t shard) const {
+    return *checkpoint_.findAll(codec::CheckpointTag::kCorridorShard)[shard];
+  }
+
+  /// Shard 0's first resident vehicle renamed to `id`.
+  common::Bytes withFirstResidentRenamed(std::uint32_t id) {
+    return rewritten(0, [id](common::Bytes body) {
+      const ShardSectionLayout layout = walkShardSection(body);
+      EXPECT_FALSE(layout.idOffsets.empty());
+      common::ByteWriter w;
+      w.writeU32(id);
+      std::copy(w.bytes().begin(), w.bytes().end(),
+                body.begin() +
+                    static_cast<std::ptrdiff_t>(layout.idOffsets.front()));
+      return body;
+    });
+  }
+
+  common::Status restore(const common::Bytes& blob) {
+    scenario::CorridorWorld fresh{hostileCorridor(), 2, runner_.threadPool()};
+    return fresh.restoreCheckpoint(blob);
+  }
+
+  sim::ParallelRunner runner_{2};
+  codec::Checkpoint checkpoint_;
+};
+
+TEST_F(HostileShardSectionTest, VehicleResidentInTheOtherShardIsMalformed) {
+  const ShardSectionLayout other = walkShardSection(shardSection(1));
+  ASSERT_FALSE(other.ids.empty());
+  const common::Status status =
+      restore(withFirstResidentRenamed(other.ids.front()));
+  ASSERT_FALSE(status.ok()) << "one vehicle restored into two shards";
+  EXPECT_EQ(status.error().code, "malformed");
+}
+
+TEST_F(HostileShardSectionTest, VehicleThatHasNotEnteredYetIsMalformed) {
+  std::optional<std::uint32_t> late;
+  for (std::uint32_t id = 0; id < hostileCorridor().vehicles && !late; ++id) {
+    if (scenario::vehicleSpec(hostileCorridor(), id).entryEpoch >= 4) late = id;
+  }
+  ASSERT_TRUE(late.has_value());
+  const common::Status status = restore(withFirstResidentRenamed(*late));
+  ASSERT_FALSE(status.ok()) << "vehicle " << *late << " restored early";
+  EXPECT_EQ(status.error().code, "malformed");
+}
+
+TEST_F(HostileShardSectionTest, HistogramShorterThanItsEdgesIsMalformed) {
+  // A histogram with three edges has four buckets; one bucket would send
+  // the restore's merge past the end of the counts.
+  const common::Status status = restore(rewritten(0, [](common::Bytes body) {
+    const std::size_t at = walkShardSection(body).snapshotOffset;
+    common::ByteReader r{std::span<const std::uint8_t>{body}.subspan(at)};
+    obs::Snapshot snapshot = obs::deserializeSnapshot(r);
+    const common::Bytes tail(body.end() -
+                                 static_cast<std::ptrdiff_t>(r.remaining()),
+                             body.end());
+    snapshot.histograms["corridor.hostile"] = {{1.0, 2.0, 3.0}, {5}, 5,
+                                               5.0, 1.0, 1.0};
+    common::ByteWriter w;
+    obs::serializeSnapshot(snapshot, w);
+    common::Bytes out(body.begin(),
+                      body.begin() + static_cast<std::ptrdiff_t>(at));
+    out.insert(out.end(), w.bytes().begin(), w.bytes().end());
+    out.insert(out.end(), tail.begin(), tail.end());
+    return out;
+  }));
+  ASSERT_FALSE(status.ok()) << "a short histogram restored";
+  EXPECT_EQ(status.error().code, "malformed");
 }
 
 // --------------------------------------------------- supervisor restarts

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/lite_detector.hpp"
@@ -121,81 +122,151 @@ TEST(ShardedSimulationTest, MergesAndRoutesEnvelopesInCanonicalOrder) {
 
 // ------------------------------------------------- detector session moves
 
+/// Hooks for a detector whose only suspect is always present: probes get a
+/// fresh fake destination, verdicts land in `verdicts`.
+struct DetectorProbe {
+  core::LiteDetector detector;
+  std::vector<std::pair<core::DetectionSession, core::Verdict>> verdicts;
+  common::Address lastDestination{};
+  std::uint32_t lastRreqId{0};
+
+  DetectorProbe()
+      : detector{{}, 1, core::LiteDetector::Hooks{
+                            .present = [](common::Address) { return true; },
+                            .sendProbe =
+                                [this](core::DetectionSession& s,
+                                       common::Address, std::uint32_t rreqId,
+                                       bool fresh) {
+                                  if (fresh) {
+                                    s.fakeDestination =
+                                        common::Address{0x3'0000'0000u + rreqId};
+                                  }
+                                  lastDestination = s.fakeDestination;
+                                  lastRreqId = rreqId;
+                                },
+                            .armDeadline = {},
+                            .roundDelay = {},
+                            .forward = [](const core::DetectionSession&) {
+                              return false;
+                            },
+                            .onEvent = {},
+                            .onVerdict =
+                                [this](core::DetectionSession& s,
+                                       core::Verdict v) {
+                                  verdicts.emplace_back(s, v);
+                                }}} {}
+
+  void reportAt(common::Address suspect, common::Address reporter,
+                std::int64_t us) {
+    const sim::TimePoint now = sim::TimePoint::fromUs(us);
+    if (auto opened = detector.report(suspect, {reporter, {}}, now)) {
+      detector.adopt(std::move(*opened), now);
+    }
+  }
+  void replyFrom(common::Address replier, aodv::SeqNum destSeq) {
+    aodv::RouteReply rrep;
+    rrep.destination = lastDestination;
+    rrep.rreqId = common::RreqId{lastRreqId};
+    rrep.destSeq = destSeq;
+    detector.onProbeReply(rrep, replier, sim::TimePoint::fromUs(6'000'000));
+  }
+};
+
 TEST(LiteDetectorTest, ExtractAdoptRoundTripPreservesSessionState) {
-  core::LiteDetector src{{}, {}};
+  DetectorProbe src;
   const common::Address suspect{0x1'0000'002au};
-  src.report(suspect, common::Address{0x1'0000'0001u}, 1'234'567, 1);
-  src.beginEpoch([](common::Address) { return true; });  // one probe round
-  src.onProbeReply(suspect);                             // one violation
+  src.reportAt(suspect, common::Address{0x1'0000'0001u}, 1'234'567);
+  src.replyFrom(suspect, 9);  // RREP₁: RREQ₂ is next
 
-  const core::LiteSessionState moved = src.extract(suspect);
-  EXPECT_EQ(src.activeSessions(), 0u);
-  EXPECT_EQ(moved.firstReportAtUs, 1'234'567);
-  EXPECT_EQ(moved.violations, 1u);
-  EXPECT_EQ(moved.probesSent, 1u);
-  EXPECT_EQ(moved.travelDirection, 1u);
+  const core::DetectionSession moved =
+      core::LiteDetector::handedOff(src.detector.extract(suspect));
+  EXPECT_EQ(src.detector.activeSessions(), 0u);
+  EXPECT_EQ(moved.startedAt.us(), 1'234'567);
+  EXPECT_EQ(moved.stage, core::ProbeStage::kRreq2);
+  EXPECT_EQ(moved.rrep1Seq, 9u);
+  EXPECT_EQ(moved.forwardCount, 1u);
 
-  core::LiteDetector dst{{}, {}};
-  dst.adopt(moved);
-  EXPECT_EQ(dst.activeSessions(), 1u);
-  const core::LiteSessionState* s = dst.find(suspect);
+  DetectorProbe dst;
+  dst.detector.adopt(moved, sim::TimePoint::fromUs(2'000'000));
+  EXPECT_EQ(dst.detector.activeSessions(), 1u);
+  const core::DetectionSession* s = dst.detector.find(suspect);
   ASSERT_NE(s, nullptr);
-  EXPECT_EQ(*s, moved);
+  EXPECT_EQ(s->id, moved.id);
+  EXPECT_EQ(s->reporters, moved.reporters);
+  EXPECT_EQ(s->startedAt, moved.startedAt);
+  EXPECT_EQ(s->forwardCount, moved.forwardCount);
+  // The adopting RSU continues the ladder where it stopped: RREQ₂ with
+  // sn + 1 over the carried RREP₁.
+  EXPECT_EQ(s->stage, core::ProbeStage::kRreq2);
+  EXPECT_EQ(s->rreq2Seq, 10u);
 }
 
 TEST(LiteDetectorTest, SerializeDeserializeRoundTrips) {
-  core::LiteSessionState s;
+  core::DetectionSession s;
+  s.id = common::DetectionSessionId{(3ull << 32) | 5};
   s.suspect = common::Address{0x1'0000'0123u};
-  s.firstReporter = common::Address{0x1'0000'0456u};
-  s.firstReportAtUs = 9'876'543'210;
-  s.violations = 1;
-  s.probesSent = 3;
-  s.forwards = 2;
-  s.travelDirection = 1;
+  s.reporters = {{common::Address{0x1'0000'0456u}, common::ClusterId{2}},
+                 {common::Address{0x1'0000'0457u}, common::ClusterId{3}}};
+  s.stage = core::ProbeStage::kTeammate;
+  s.rrep1Seq = 11;
+  s.rreq2Seq = 12;
+  s.accomplice = common::Address{0x1'0000'0789u};
+  s.retriesLeft = 1;
+  s.packets = 7;
+  s.forwardCount = 2;
+  s.hardened = true;
+  s.round = 2;
+  s.violations = 2;
+  s.startedAt = sim::TimePoint::fromUs(9'876'543'210);
+  s.probeStartedAt = sim::TimePoint::fromUs(9'876'600'000);
+  s.disposable = common::Address{0xD15D15'0000'0001u};
+  s.fakeDestination = common::Address{0xD15D15'0000'0002u};
+  s.stageRreqIds = {4, 5};
+  s.deadlineKind = core::DeadlineKind::kProbeTimeout;
+  s.deadline = sim::TimePoint::fromUs(9'877'000'000);
+  s.deadlineGen = 6;
+  s.deadlineSeq = 99;
   common::ByteWriter w;
   s.serialize(w);
   common::ByteReader r{w.bytes()};
-  EXPECT_EQ(core::LiteSessionState::deserialize(r), s);
+  EXPECT_EQ(core::DetectionSession::deserialize(r), s);
+  EXPECT_TRUE(r.exhausted());
 }
 
 TEST(LiteDetectorTest, AdoptMergesWithAnExistingSession) {
-  // The handoff envelope trails a migrating suspect by one epoch, so the
-  // destination may have re-opened its own session from local reports.
-  core::LiteDetector dst{{}, {}};
+  // A hand-off can arrive for a suspect this RSU already probes (local
+  // reports re-opened a session after the suspect migrated here). The
+  // adopted session merges: its reporters and packets join, the live
+  // session keeps its clock and its place on the ladder (no restart), and
+  // the merged session concludes once, answering both reporters.
+  DetectorProbe merger;
   const common::Address suspect{0x1'0000'002au};
-  dst.report(suspect, common::Address{0x1'0000'0002u}, 5'000'000, 0);
-  dst.beginEpoch([](common::Address) { return true; });
-  dst.onProbeReply(suspect);  // local evidence: 1 violation
+  const common::Address local{0x1'0000'0002u};
+  const common::Address remote{0x1'0000'0001u};
+  merger.reportAt(suspect, local, 5'000'000);
+  merger.replyFrom(suspect, 9);  // RREQ₂ now outstanding
+  const std::uint32_t rreq2Id = merger.lastRreqId;
 
-  core::LiteSessionState incoming;
+  core::DetectionSession incoming;
+  incoming.id = common::DetectionSessionId{(2ull << 32) | 1};
   incoming.suspect = suspect;
-  incoming.firstReporter = common::Address{0x1'0000'0001u};
-  incoming.firstReportAtUs = 1'000'000;  // earlier than the local report
-  incoming.violations = 1;
-  incoming.probesSent = 2;
-  incoming.forwards = 1;
+  incoming.reporters = {{remote, {}}};
+  incoming.startedAt = sim::TimePoint::fromUs(1'000'000);
+  incoming.packets = 3;
+  incoming.forwardCount = 1;
+  merger.detector.adopt(incoming, sim::TimePoint::fromUs(5'500'000));
+  EXPECT_EQ(merger.detector.activeSessions(), 1u);
+  EXPECT_EQ(merger.lastRreqId, rreq2Id) << "the merge restarted probing";
 
-  std::uint32_t confirmed = 0;
-  std::int64_t confirmedClock = 0;
-  core::LiteDetector::Hooks hooks;
-  hooks.onVerdict = [&](const core::LiteSessionState& state,
-                        core::LiteVerdict verdict) {
-    if (verdict == core::LiteVerdict::kConfirmed) {
-      ++confirmed;
-      confirmedClock = state.firstReportAtUs;
-    }
-  };
-  core::LiteDetector merger{{}, std::move(hooks)};
-  merger.report(suspect, common::Address{0x1'0000'0002u}, 5'000'000, 0);
-  merger.beginEpoch([](common::Address) { return true; });
-  merger.onProbeReply(suspect);
-  // 1 local + 1 migrated violation reaches probesToConfirm = 2: the merge
-  // itself concludes, and the detection clock keeps the EARLIER report.
-  merger.adopt(incoming);
-  EXPECT_EQ(confirmed, 1u);
-  EXPECT_EQ(confirmedClock, 1'000'000);
-  EXPECT_EQ(merger.activeSessions(), 0u);
-  EXPECT_EQ(merger.stats().adopted, 1u);
+  merger.replyFrom(suspect, 200);  // RREP₂ newer than sn + 1: confirmed
+  ASSERT_EQ(merger.verdicts.size(), 1u);
+  const auto& [done, verdict] = merger.verdicts.front();
+  EXPECT_EQ(verdict, core::Verdict::kSingleBlackHole);
+  ASSERT_EQ(done.reporters.size(), 2u);
+  EXPECT_EQ(done.reporters[0].address, local);
+  EXPECT_EQ(done.reporters[1].address, remote);
+  EXPECT_EQ(done.startedAt.us(), 5'000'000);
+  EXPECT_EQ(merger.detector.activeSessions(), 0u);
 }
 
 // ----------------------------------------------------- partition invariance
@@ -249,6 +320,38 @@ TEST(CorridorWorldTest, OddPartitionMatchesToo) {
   tri.run(3);
   EXPECT_EQ(mono.metricsJson(), tri.metricsJson());
   EXPECT_EQ(mono.canonicalLog(), tri.canonicalLog());
+}
+
+TEST(CorridorWorldTest, CooperativePairIsCaughtOnOneAndThreeShards) {
+  // The corridor runs the paper's ladder: RREQ₁, RREQ₂ with a next-hop
+  // inquiry, then the named teammate. Both partitions must log the same
+  // cooperative verdict, isolate both attackers, and no honest vehicle.
+  const sim::ParallelRunner runner{3};
+  const scenario::CorridorConfig config = tinyCorridor();
+  scenario::CorridorWorld mono{config, 1, runner.threadPool()};
+  mono.run(6);
+  scenario::CorridorWorld tri{config, 3, runner.threadPool()};
+  tri.run(6);
+  EXPECT_EQ(mono.metricsJson(), tri.metricsJson());
+  EXPECT_EQ(mono.canonicalLog(), tri.canonicalLog());
+
+  const std::string cooperative =
+      " b=" + std::to_string(static_cast<int>(
+                  core::Verdict::kCooperativeBlackHole)) +
+      " ";
+  const std::string log = mono.canonicalLog();
+  std::size_t verdicts = 0;
+  for (std::size_t at = log.find(" verdict "); at != std::string::npos;
+       at = log.find(" verdict ", at + 1)) {
+    const std::size_t eol = log.find('\n', at);
+    if (log.substr(at, eol - at).find(cooperative) != std::string::npos) {
+      ++verdicts;
+    }
+  }
+  EXPECT_GT(verdicts, 0u) << "no cooperative verdict in " << log;
+  EXPECT_NE(mono.metricsJson().find("\"corridor.cooperative\""),
+            std::string::npos);
+  EXPECT_TRUE(mono.checkInvariants().empty());
 }
 
 TEST(CorridorWorldTest, VehicleSpecsArePureFunctionsOfSeed) {
