@@ -204,7 +204,7 @@ int main(int argc, char** argv) {
   flood.print(std::cout);
 
   obs::writeBenchJson("ablation_adversarial", registry.snapshot(),
-                      timer.info());
+                      timer.info().recordJobs(runner.jobs()));
 
   // The defense contract: the selective attacker beats the naive probe but
   // not the hardened campaign; flooding never quarantines an honest vehicle

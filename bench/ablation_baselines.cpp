@@ -41,7 +41,8 @@ int main(int argc, char** argv) {
     registry.counter(prefix + ".trials_with_comparison")
         .add(cell.trialsWithComparison);
   }
-  obs::writeBenchJson("ablation_baselines", registry.snapshot(), timer.info());
+  obs::writeBenchJson("ablation_baselines", registry.snapshot(),
+                      timer.info().recordJobs(runner.jobs()));
 
   Table table({"Attack", "Detector", "Recall (TPR)", "FP count",
                ">=2 RREPs to compare"});

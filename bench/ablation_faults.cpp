@@ -247,7 +247,8 @@ int main(int argc, char** argv) {
                "the attacker in "
             << Table::percent(quarantined.mean()) << " of trials.\n";
   obs::addRunningStat(registry, "faults.quarantine.isolated", quarantined);
-  obs::writeBenchJson("ablation_faults", registry.snapshot(), timer.info());
+  obs::writeBenchJson("ablation_faults", registry.snapshot(),
+                      timer.info().recordJobs(runner.jobs()));
 
   const bool ok = detectNone.mean() >= detectHeavy.mean() &&
                   detectNone.mean() > 0.8 &&

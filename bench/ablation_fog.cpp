@@ -97,7 +97,8 @@ int main(int argc, char** argv) {
             << Table::num(aloneAt600, 1) << " ms and growing with the "
             << "backlog); three fog nodes bring it to "
             << Table::num(fog3At600, 2) << " ms.\n";
-  obs::writeBenchJson("ablation_fog", registry.snapshot(), timer.info());
+  obs::writeBenchJson("ablation_fog", registry.snapshot(),
+                      timer.info().recordJobs(runner.jobs()));
 
   const bool ok = aloneAt600 > 50.0 && fog3At600 < 5.0;
   std::cout << (ok ? "\nshape check: PASS (fog offloading moves the "

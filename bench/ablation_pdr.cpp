@@ -137,7 +137,8 @@ int main(int argc, char** argv) {
   registry.gauge("pdr.blackdp_recovery")
       .set(defended.mean() - plain.mean());
   registry.gauge("pdr.grayhole_cost").set(honest.mean() - gray.mean());
-  obs::writeBenchJson("ablation_pdr", registry.snapshot(), timer.info());
+  obs::writeBenchJson("ablation_pdr", registry.snapshot(),
+                      timer.info().recordJobs(runner.jobs()));
 
   std::cout << "\nBlackDP recovers the black hole's damage ("
             << Table::percent(plain.mean()) << " -> "

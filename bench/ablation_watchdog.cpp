@@ -154,7 +154,8 @@ int main(int argc, char** argv) {
   registry.counter("watchdog.drops_charged").add(dropsCharged);
   obs::addRunningStat(registry, "watchdog.observers_per_trial",
                       observersPerTrial);
-  obs::writeBenchJson("ablation_watchdog", registry.snapshot(), timer.info());
+  obs::writeBenchJson("ablation_watchdog", registry.snapshot(),
+                      timer.info().recordJobs(runner.jobs()));
 
   std::cout << "\nwatchdogs catch what BlackDP structurally cannot; their "
                "noise is why the paper\nroutes verdicts through trusted "

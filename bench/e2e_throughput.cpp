@@ -202,7 +202,9 @@ int main(int argc, char** argv) {
   }
 
   // Headline throughput: per-thread steady-state rate (frames over summed
-  // span seconds), so the figure is comparable across --jobs values.
+  // span seconds). Concurrent trials share cores and memory bandwidth, so
+  // the rate falls as --jobs grows; it is comparable only at equal --jobs,
+  // which throughput.jobs records.
   const double highwayFps =
       highway.seconds > 0.0
           ? static_cast<double>(highway.framesDelivered) / highway.seconds
@@ -254,7 +256,8 @@ int main(int argc, char** argv) {
                : 0.0);
   registry.gauge("e2e.trials").set(static_cast<double>(trials));
 
-  obs::BenchRunInfo info = timer.info(highway.framesDelivered);
+  obs::BenchRunInfo info =
+      timer.info(highway.framesDelivered).recordJobs(runner.jobs());
   info.allocationsPerFrame = allocsPerFrame >= 0.0 ? allocsPerFrame : -1.0;
   // Headline fps is the steady-state rate, not frames over process wall
   // clock (which would charge world construction to the data plane).

@@ -77,7 +77,8 @@ int main(int argc, char** argv) {
   packetRange("none", noneMin, noneMax);
   packetRange("single", singleMin, singleMax);
   packetRange("cooperative", coopMin, coopMax);
-  obs::writeBenchJson("fig5_packets", registry.snapshot(), timer.info());
+  obs::writeBenchJson("fig5_packets", registry.snapshot(),
+                      timer.info().recordJobs(runner.jobs()));
 
   const bool ok = noneMin >= 4 && noneMax <= 6 && singleMin >= 6 &&
                   singleMax <= 9 && coopMin >= 8 && coopMax <= 11;

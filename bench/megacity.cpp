@@ -6,14 +6,15 @@
 // The bench asserts the tentpole guarantee end to end: both runs must be
 // BYTE-IDENTICAL on the deterministic surfaces (merged metrics JSON and the
 // canonical per-segment log); a mismatch is an exit-1 failure, not a
-// statistic. A third leg re-runs the partitioned configuration with a
-// scripted mid-run shard crash (supervisor restart + envelope replay) while
-// checkpointing every other epoch — it must converge to the same surfaces,
-// with the checkpoint time reported as overhead. BENCH_megacity.json
-// (schema v2) carries two machine-dependent sidecars: "sharding"
-// (per-configuration fps, speedup, per-shard busy seconds and balance,
-// envelope volume) and "fault_tolerance" (checkpoint seconds/bytes, crash
-// epoch, restart/replay/recovery counters, identity verdict).
+// statistic. A third leg re-runs the partitioned configuration while
+// checkpointing every other epoch in memory, drops the whole world at a
+// crash epoch between two checkpoints, restores a freshly built world from
+// the last one and runs on — it must converge to the same surfaces, with
+// the checkpoint time reported as overhead. BENCH_megacity.json (schema v2)
+// carries two machine-dependent sidecars: "sharding" (per-configuration
+// fps, speedup, per-shard busy seconds and balance, envelope volume) and
+// "fault_tolerance" (checkpoint seconds/bytes, crash epoch, restores and
+// re-run epochs, identity verdict); throughput.jobs records --jobs.
 // scripts/bench_compare.py gates frames_per_second against the committed
 // baseline and the checkpoint overhead against 5% of the leg's wall clock;
 // CI additionally checks the baseline's speedup stays > 1.
@@ -33,6 +34,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -116,11 +118,13 @@ RunResult runCorridor(const scenario::CorridorConfig& config,
   return out;
 }
 
-/// The fault-tolerance leg: the partitioned corridor re-run with a scripted
-/// mid-run shard crash (supervisor restart + envelope replay) while writing
-/// an in-memory checkpoint every other epoch boundary. Its surfaces must
-/// still equal the healthy partitioned run's, and the checkpoint time is
-/// the overhead bench_compare.py gates (<= 5% of the leg's wall clock).
+/// The fault-tolerance leg: the partitioned corridor re-run while writing
+/// an in-memory checkpoint every other epoch boundary. At `crashEpoch`,
+/// between two checkpoints, the whole world is dropped; a freshly built world
+/// restores the last checkpoint and re-runs the epochs the crash lost. Its
+/// surfaces must still equal the healthy partitioned run's, and the
+/// checkpoint time is the overhead bench_compare.py gates (<= 5% of the
+/// leg's wall clock).
 struct FaultToleranceResult {
   std::string metricsJson;
   std::string canonicalLog;
@@ -129,41 +133,49 @@ struct FaultToleranceResult {
   std::uint64_t checkpointsWritten{0};
   std::uint64_t checkpointBytes{0};  ///< last checkpoint's size
   std::uint32_t crashEpoch{0};
-  shard::ShardStats stats;
+  std::uint64_t restores{0};
+  std::uint32_t rerunEpochs{0};  ///< epochs re-run after the restore
+  std::uint64_t crcRejects{0};
 };
 
-FaultToleranceResult runFaultTolerance(const scenario::CorridorConfig& base,
+FaultToleranceResult runFaultTolerance(const scenario::CorridorConfig& config,
                                        std::uint32_t shards,
                                        std::uint32_t epochs,
                                        sim::ThreadPool& pool) {
   constexpr std::uint32_t kCheckpointEvery = 2;
   FaultToleranceResult out;
-  out.crashEpoch = epochs / 2;
+  // Odd, so it lies between two checkpoints: the restore has epochs to re-run.
+  out.crashEpoch = (epochs / 2) | 1;
 
-  scenario::CorridorConfig config = base;
-  config.supervisionEvery = kCheckpointEvery;
-  config.faults.shardCrashes.push_back({out.crashEpoch, shards - 1});
-
-  scenario::CorridorWorld world{config, shards, pool};
+  auto world = std::make_unique<scenario::CorridorWorld>(config, shards, pool);
+  common::Bytes last;
   const auto begin = std::chrono::steady_clock::now();
-  while (world.nextEpoch() < epochs) {
-    world.step();
-    if (world.nextEpoch() % kCheckpointEvery != 0) continue;
+  while (world->nextEpoch() < epochs) {
+    world->step();
+    if (world->nextEpoch() == out.crashEpoch && out.restores == 0) {
+      // The crash: everything in memory is lost but the last checkpoint.
+      world = std::make_unique<scenario::CorridorWorld>(config, shards, pool);
+      if (!world->restoreCheckpoint(last).ok()) break;
+      ++out.restores;
+      out.rerunEpochs = out.crashEpoch - world->nextEpoch();
+      continue;
+    }
+    if (world->nextEpoch() % kCheckpointEvery != 0) continue;
     const auto ckptBegin = std::chrono::steady_clock::now();
-    const common::Bytes blob = world.saveCheckpoint();
+    last = world->saveCheckpoint();
     out.checkpointSeconds += std::chrono::duration<double>(
                                  std::chrono::steady_clock::now() - ckptBegin)
                                  .count();
     ++out.checkpointsWritten;
-    out.checkpointBytes = blob.size();
+    out.checkpointBytes = last.size();
   }
-  world.finish();
+  world->finish();
   out.runSeconds = std::chrono::duration<double>(
                        std::chrono::steady_clock::now() - begin)
                        .count();
-  out.metricsJson = world.metricsJson();
-  out.canonicalLog = world.canonicalLog();
-  out.stats = world.shardStats();
+  out.metricsJson = world->metricsJson();
+  out.canonicalLog = world->canonicalLog();
+  out.crcRejects = world->shardStats().crcRejects;
   return out;
 }
 
@@ -218,9 +230,9 @@ int main(int argc, char** argv) {
   const bool identical = a.metricsJson == b.metricsJson &&
                          a.canonicalLog == b.canonicalLog &&
                          a.framesDelivered == b.framesDelivered;
-  // The crashed-and-restarted run must converge to the same surfaces: the
-  // supervisor replayed the retained envelopes, so the recovery is
-  // unobservable on the deterministic side.
+  // The crashed-and-restored run must converge to the same surfaces: the
+  // checkpoint holds the whole world, so the recovery is unobservable on the
+  // deterministic side.
   const bool ftIdentical = ft.metricsJson == b.metricsJson &&
                            ft.canonicalLog == b.canonicalLog;
   const double speedup = a.fps > 0.0 ? b.fps / a.fps : 0.0;
@@ -246,12 +258,11 @@ int main(int argc, char** argv) {
             << "\nspeedup (B/A)      : " << Table::num(speedup, 2)
             << "\nshard balance      : " << Table::num(balance, 3)
             << "\nenvelopes exchanged: " << b.stats.envelopesExchanged << '\n';
-  std::cout << "\nFault tolerance (crash shard " << shardsB - 1 << " at epoch "
-            << ft.crashEpoch << ", checkpoint every 2):"
+  std::cout << "\nFault tolerance (world dropped at epoch " << ft.crashEpoch
+            << ", checkpoint every 2):"
             << "\n  recovered identical: " << (ftIdentical ? "yes" : "NO — BUG")
-            << "\n  restarts/replayed  : " << ft.stats.shardRestarts << " / "
-            << ft.stats.envelopesReplayed << " envelopes over "
-            << ft.stats.recoveryEpochs << " epochs"
+            << "\n  restores/re-run    : " << ft.restores << " / "
+            << ft.rerunEpochs << " epochs"
             << "\n  checkpoint overhead: " << Table::num(ft.checkpointSeconds, 3)
             << " s of " << Table::num(ft.runSeconds, 3) << " s ("
             << ft.checkpointsWritten << " checkpoints, last "
@@ -289,13 +300,9 @@ int main(int argc, char** argv) {
         std::to_string(ft.checkpointsWritten) +
         ",\n    \"checkpoint_bytes\": " + std::to_string(ft.checkpointBytes) +
         ",\n    \"crash_epoch\": " + std::to_string(ft.crashEpoch) +
-        ",\n    \"shard_restarts\": " +
-        std::to_string(ft.stats.shardRestarts) +
-        ",\n    \"recovery_epochs\": " +
-        std::to_string(ft.stats.recoveryEpochs) +
-        ",\n    \"envelopes_replayed\": " +
-        std::to_string(ft.stats.envelopesReplayed) +
-        ",\n    \"crc_rejects\": " + std::to_string(ft.stats.crcRejects) +
+        ",\n    \"restores\": " + std::to_string(ft.restores) +
+        ",\n    \"recovery_epochs\": " + std::to_string(ft.rerunEpochs) +
+        ",\n    \"crc_rejects\": " + std::to_string(ft.crcRejects) +
         ",\n    \"identical\": " + (ftIdentical ? "true" : "false") +
         "\n  }";
 
@@ -304,14 +311,15 @@ int main(int argc, char** argv) {
     obs::BenchRunInfo info;
     info.wallClockSeconds = b.runSeconds;
     info.framesDelivered = b.framesDelivered;
+    info.jobs = jobs;
     info.addExtra("sharding", sidecar);
     info.addExtra("fault_tolerance", faultSidecar);
     obs::writeBenchJson("megacity", b.snapshot, info);
   }
 
   const bool healthy = identical && ftIdentical && dumped &&
-                       a.framesDelivered > 0 && ft.stats.shardRestarts == 1 &&
-                       ft.stats.envelopesReplayed > 0 &&
+                       a.framesDelivered > 0 && ft.restores == 1 &&
+                       ft.rerunEpochs > 0 &&
                        timer.elapsedSeconds() > 0.0;
   return healthy ? 0 : 1;
 }

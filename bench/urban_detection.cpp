@@ -124,7 +124,8 @@ int main(int argc, char** argv) {
   table.print(std::cout);
 
   obs::addConfusion(registry, "urban.total", total);
-  obs::writeBenchJson("urban_detection", registry.snapshot(), timer.info());
+  obs::writeBenchJson("urban_detection", registry.snapshot(),
+                      timer.info().recordJobs(runner.jobs()));
 
   const double overall = total.recall();
   std::cout << "\noverall detection accuracy: " << Table::percent(overall)

@@ -9,10 +9,11 @@ baseline:
 
 Prints the wall-clock / throughput delta plus every deterministic metric
 (counter, gauge, histogram count/sum) that differs between the two files,
-then exits nonzero iff the two files' sharding sidecars describe different
-runs (segments, vehicles, epochs or jobs), the candidate's
-frames_per_second dropped more than --max-regression percent below the
-baseline, (when the baseline records
+then exits nonzero iff the two files' throughput.jobs differ (or only one
+records it), the baseline has a sharding sidecar and the candidate has none
+or one describing a different run (segments, vehicles or epochs), the
+candidate's frames_per_second dropped more than --max-regression percent
+below the baseline, (when the baseline records
 throughput.allocations_per_frame) the candidate's allocations_per_frame
 rose more than --max-alloc-increase above the baseline, or (when the
 baseline records a fault_tolerance sidecar) the candidate's checkpoint time
@@ -137,10 +138,23 @@ def main(argv):
 
     print_metric_deltas(baseline, candidate)
 
-    if "sharding" in baseline and "sharding" in candidate:
+    # Frames/s only compares within one worker count: concurrent workers
+    # share cores and memory bandwidth.
+    b_jobs = baseline["throughput"].get("jobs")
+    c_jobs = candidate["throughput"].get("jobs")
+    if b_jobs != c_jobs:
+        raise SystemExit(f"throughput.jobs mismatch: {b_jobs} vs {c_jobs} "
+                         "(None = not recorded) — the two runs used different "
+                         "worker counts; regenerate the baseline with the "
+                         "command CI runs")
+
+    if "sharding" in baseline:
+        if "sharding" not in candidate:
+            raise SystemExit("baseline records a sharding sidecar but the "
+                             "candidate does not — the sharded runs were lost")
         b_sh, c_sh = baseline["sharding"], candidate["sharding"]
-        # Frames/s only compares within one workload and worker count.
-        for key in ("segments", "vehicles", "epochs", "jobs"):
+        # Frames/s only compares within one workload.
+        for key in ("segments", "vehicles", "epochs"):
             if b_sh.get(key) != c_sh.get(key):
                 raise SystemExit(f"sharding.{key} mismatch: {b_sh.get(key)} "
                                  f"vs {c_sh.get(key)} — the two runs are not "
@@ -193,8 +207,8 @@ def main(argv):
               f"{b_ft['checkpoint_seconds']:.4f} -> {ckpt:.4f} "
               f"({pct:.2f}% of the leg's wall clock; "
               f"tolerance: {args.max_checkpoint_overhead:.1f}%)")
-        print(f"fault_tolerance.envelopes_replayed: "
-              f"{b_ft['envelopes_replayed']} -> {c_ft['envelopes_replayed']}")
+        print(f"fault_tolerance.recovery_epochs: "
+              f"{b_ft['recovery_epochs']} -> {c_ft['recovery_epochs']}")
         if wall > 0 and ckpt > budget:
             print(f"FAIL: checkpointing cost {pct:.2f}% of the "
                   "fault-tolerance leg's wall clock "

@@ -32,6 +32,8 @@ Schema (src/obs/bench_json.hpp):
       "throughput": {
         "frames_delivered": <non-negative int>,
         "frames_per_second": <non-negative number>,
+        "jobs": <positive int, optional — recorded by every bench that
+                 takes --jobs; pinned campaign sidecars omit it>,
         "allocations_per_frame": <non-negative number, optional — present
                                   only when the bench linked the alloc hook
                                   and measured a steady-state span>
@@ -59,10 +61,11 @@ shards=N is part of the schema, not just a test.
 
 It also requires a "fault_tolerance" sidecar from the crash-and-recover
 leg: non-negative checkpoint/wall seconds with checkpoint_seconds <=
-wall_clock_seconds, checkpoints_written >= 1, shard_restarts == 1,
-envelopes_replayed >= 1 (the supervisor actually replayed something),
-crc_rejects == 0, and identical == true — a crashed-and-restarted shard
-must converge to the same deterministic surfaces.
+wall_clock_seconds, checkpoints_written >= 1, restores == 1 (one dropped
+world, one restore from the whole-world checkpoint), recovery_epochs >= 1
+(the restore re-ran epochs the crash lost), crc_rejects == 0, and
+identical == true — the restored world must converge to the same
+deterministic surfaces.
 """
 
 import binascii
@@ -134,6 +137,11 @@ def check_throughput(path, doc):
     elif fps != 0:
         fail(path, "frames_per_second must be 0 when wall_clock_seconds is 0")
 
+    if "jobs" in throughput:
+        jobs = throughput["jobs"]
+        if not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 1:
+            fail(path, "throughput.jobs: expected a positive int")
+
     if "allocations_per_frame" in throughput:
         apf = throughput["allocations_per_frame"]
         check_number(path, "throughput.allocations_per_frame", apf)
@@ -190,8 +198,8 @@ def check_sharding(path, doc):
 
 FAULT_TOLERANCE_KEYS = ("checkpoint_seconds", "wall_clock_seconds",
                         "checkpoints_written", "checkpoint_bytes",
-                        "crash_epoch", "shard_restarts", "recovery_epochs",
-                        "envelopes_replayed", "crc_rejects", "identical")
+                        "crash_epoch", "restores", "recovery_epochs",
+                        "crc_rejects", "identical")
 
 
 def check_fault_tolerance(path, doc):
@@ -204,8 +212,7 @@ def check_fault_tolerance(path, doc):
         if key not in ft:
             fail(path, f"fault_tolerance missing key {key!r}")
     for key in ("checkpoints_written", "checkpoint_bytes", "crash_epoch",
-                "shard_restarts", "recovery_epochs", "envelopes_replayed",
-                "crc_rejects"):
+                "restores", "recovery_epochs", "crc_rejects"):
         if (not isinstance(ft[key], int) or isinstance(ft[key], bool)
                 or ft[key] < 0):
             fail(path, f"fault_tolerance.{key}: expected a non-negative int")
@@ -218,12 +225,12 @@ def check_fault_tolerance(path, doc):
                    "wall_clock_seconds")
     if ft["checkpoints_written"] < 1:
         fail(path, "fault_tolerance.checkpoints_written must be >= 1")
-    if ft["shard_restarts"] != 1:
-        fail(path, "fault_tolerance.shard_restarts must be exactly 1 (one "
-                   "scripted crash, one supervisor restart)")
-    if ft["envelopes_replayed"] < 1:
-        fail(path, "fault_tolerance.envelopes_replayed must be >= 1 — the "
-                   "restart must actually replay missed envelopes")
+    if ft["restores"] != 1:
+        fail(path, "fault_tolerance.restores must be exactly 1 (one dropped "
+                   "world, one restore from its last checkpoint)")
+    if ft["recovery_epochs"] < 1:
+        fail(path, "fault_tolerance.recovery_epochs must be >= 1 — the "
+                   "restore must actually re-run epochs the crash lost")
     if ft["crc_rejects"] != 0:
         fail(path, "fault_tolerance.crc_rejects must be 0 on a healthy run")
     if ft["identical"] is not True:

@@ -311,9 +311,11 @@ CampaignResult CampaignRunner::run(const CampaignSpec& spec) const {
   }
 
   if (options_.writeBench) {
-    const obs::BenchRunInfo info = options_.pinSidecar
-                                       ? obs::BenchRunInfo{}
-                                       : timer.info(result.framesDelivered);
+    // Pinned: no wall clock and no jobs, so identical across --jobs values.
+    const obs::BenchRunInfo info =
+        options_.pinSidecar
+            ? obs::BenchRunInfo{}
+            : timer.info(result.framesDelivered).recordJobs(runner.jobs());
     result.benchPath =
         obs::writeBenchJson(spec.name, result.snapshot, info, outDir);
   }

@@ -1,5 +1,6 @@
 #include "codec/checkpoint.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <fstream>
@@ -145,7 +146,8 @@ common::Status restoreGuarded(
     std::span<const std::uint8_t> blob, CheckpointTag metaTag,
     std::uint64_t configHash, std::uint64_t seed,
     const std::function<common::Status(const Checkpoint& checkpoint,
-                                       common::ByteReader& meta)>& apply) {
+                                       common::ByteReader& meta)>& apply,
+    const std::function<common::Bytes()>& save) {
   const auto decoded = decodeCheckpoint(blob);
   if (!decoded.ok()) return decoded.error();
   try {
@@ -155,7 +157,11 @@ common::Status restoreGuarded(
                            "checkpoint was written under a different "
                            "configuration or seed"};
     }
-    return apply(decoded.value(), meta);
+    const common::Status applied = apply(decoded.value(), meta);
+    if (applied.ok() && !std::ranges::equal(save(), blob)) {
+      return common::Error{"malformed", "restored state re-saves differently"};
+    }
+    return applied;
   } catch (const std::exception& e) {
     return common::Error{"malformed", e.what()};
   }

@@ -102,8 +102,9 @@ class CheckpointBuilder {
 ///   - a meta section that does not open with the world's config hash and
 ///     seed (two u64s) is "config-mismatch";
 ///   - otherwise `apply` restores the sections, `meta` positioned after the
-///     seed, and its status is returned;
-///   - any exception `apply` throws is "malformed" with the exception's
+///     seed, and a failed status is returned;
+///   - a world that does not re-`save` to exactly `blob` is "malformed";
+///   - any exception `apply` or `save` throws is "malformed" with its
 ///     message, which covers a missing section (Checkpoint::section),
 ///     trailing bytes (expectConsumed) and every ByteReader underrun.
 /// A failed restore may leave the world part-restored; discard it.
@@ -111,7 +112,8 @@ class CheckpointBuilder {
     std::span<const std::uint8_t> blob, CheckpointTag metaTag,
     std::uint64_t configHash, std::uint64_t seed,
     const std::function<common::Status(const Checkpoint& checkpoint,
-                                       common::ByteReader& meta)>& apply);
+                                       common::ByteReader& meta)>& apply,
+    const std::function<common::Bytes()>& save);
 
 /// Throws std::invalid_argument unless `reader` consumed its whole section
 /// ("malformed" under restoreGuarded); `section` names it in the message.

@@ -8,7 +8,8 @@
 // stretches — that a FaultInjector replays on the simulator clock. Plans are
 // plain data so benches and tests can script identical fault sequences across
 // treatments; an empty plan means the fault layer is not installed at all and
-// every component behaves exactly as in the unfaulted build.
+// every component behaves exactly as in the unfaulted build. The megacity
+// corridor does not use it (see scenario::CorridorConfig::rsuOutages).
 #pragma once
 
 #include <limits>
@@ -85,40 +86,17 @@ struct JamZoneEvent {
   sim::TimePoint until{endOfTime()};
 };
 
-/// A megacity shard process dies at the START of `epoch` (before running
-/// it): its in-memory world is discarded and the ShardedSimulation
-/// supervisor rebuilds it from the last snapshot, replaying the retained
-/// epoch inboxes. Epoch-indexed, not clock-indexed, because shard crashes
-/// are only observable at epoch barriers.
-struct ShardCrashEvent {
-  std::uint32_t epoch{0};
-  std::uint32_t shard{0};
-};
-
-/// A corridor segment's RSU goes dark during epochs [fromEpoch, untilEpoch):
-/// no digest broadcasts, no detector rounds, all received frames ignored.
-/// Cross-segment envelopes (revocation gossip, migrations, handoffs) still
-/// apply — the degraded-mode guarantee that neighbors keep isolating
-/// confirmed black holes inside the dark segment.
-struct SegmentRsuOutageEvent {
-  std::uint32_t segment{0};
-  std::uint32_t fromEpoch{0};
-  std::uint32_t untilEpoch{0};
-};
-
 struct FaultPlan {
   std::vector<RsuCrashEvent> rsuCrashes;
   std::vector<BackboneLinkDownEvent> backboneLinksDown;
   std::vector<BackbonePartitionEvent> backbonePartitions;
   std::vector<BurstLossEvent> burstLoss;
   std::vector<JamZoneEvent> jamZones;
-  std::vector<ShardCrashEvent> shardCrashes;
-  std::vector<SegmentRsuOutageEvent> rsuOutages;
 
   [[nodiscard]] bool empty() const {
     return rsuCrashes.empty() && backboneLinksDown.empty() &&
            backbonePartitions.empty() && burstLoss.empty() &&
-           jamZones.empty() && shardCrashes.empty() && rsuOutages.empty();
+           jamZones.empty();
   }
 };
 

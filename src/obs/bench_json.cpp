@@ -53,6 +53,10 @@ std::string benchJson(std::string_view name, const Snapshot& snapshot,
   appendJsonNumber(out, frames);
   out += ",\n    \"frames_per_second\": ";
   appendJsonNumber(out, fps);
+  if (info.jobs > 0) {
+    out += ",\n    \"jobs\": ";
+    appendJsonNumber(out, static_cast<std::uint64_t>(info.jobs));
+  }
   if (info.allocationsPerFrame >= 0.0) {
     out += ",\n    \"allocations_per_frame\": ";
     appendJsonNumber(out, info.allocationsPerFrame);

@@ -11,6 +11,8 @@
 //     "throughput": {
 //       "frames_delivered": <total medium deliveries across all trials>,
 //       "frames_per_second": <frames_delivered / wall_clock_seconds>,
+//       "jobs": <worker threads (--jobs); present for every bench that
+//                takes --jobs, omitted by pinned campaign sidecars>,
 //       "allocations_per_frame": <heap allocs per delivered frame; only
 //                                 present when the bench measured it>
 //     },
@@ -53,6 +55,7 @@ struct BenchRunInfo {
   /// from the common/alloc_hook counters. Negative means "not measured" and
   /// the field is omitted from the JSON.
   double allocationsPerFrame{-1.0};
+  unsigned jobs{0};  ///< --jobs workers; 0 = not recorded, field omitted
   /// Optional extra machine-dependent top-level sections, emitted between
   /// "throughput" and "metrics" in order as `"<key>": <json>`. `json` must
   /// be a pre-rendered JSON value (usually an object); bench/megacity emits
@@ -61,6 +64,11 @@ struct BenchRunInfo {
 
   BenchRunInfo& addExtra(std::string key, std::string json) {
     extras.push_back({std::move(key), std::move(json)});
+    return *this;
+  }
+
+  BenchRunInfo& recordJobs(unsigned count) {
+    jobs = count;
     return *this;
   }
 };

@@ -1,6 +1,7 @@
 #include "scenario/corridor_world.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -39,12 +40,8 @@ void insertSorted(std::vector<common::Address>& sorted,
 
 constexpr std::uint32_t kNeverDeparts = 0xffff'ffffu;
 
-/// Effective supervisor snapshot interval: explicit setting wins; otherwise
-/// supervision turns on (every 2 epochs) iff shard crashes are scripted.
-std::uint32_t effectiveSupervisionEvery(const CorridorConfig& config) {
-  if (config.supervisionEvery != 0) return config.supervisionEvery;
-  return config.faults.shardCrashes.empty() ? 0u : 2u;
-}
+/// Segments a revocation gossips each way from the isolating segment.
+constexpr std::uint8_t kRevocationTtl = 2;
 
 /// How far above the asked-for sequence number a black hole's forged reply
 /// claims (attack::BlackHoleConfig's default).
@@ -72,6 +69,68 @@ net::MediumConfig corridorMediumConfig() {
   config.lossProbability = 0.0;
   config.spatialGrid = true;
   return config;
+}
+
+/// One inbox envelope, decoded: its kind and the fields that kind carries.
+struct Arrival {
+  CorridorEnvelopeKind kind{};
+  std::uint32_t vehicle{0};                ///< kMigration
+  std::vector<common::Address> blacklist;  ///< kMigration
+  core::DetectionSession session;          ///< kSessionHandoff
+  common::Address suspect{};               ///< kRevocation
+  std::uint8_t direction{0};               ///< kRevocation: 0 = eastward
+  std::uint8_t ttl{0};                     ///< kRevocation
+};
+
+/// Decodes an inbox envelope's body as CorridorShard::applyEnvelope applies
+/// it: a known kind, read exactly, in range. Throws otherwise.
+Arrival decodeArrival(const shard::Envelope& envelope) {
+  Arrival arrival;
+  arrival.kind = static_cast<CorridorEnvelopeKind>(envelope.kind);
+  common::ByteReader reader{envelope.body};
+  switch (arrival.kind) {
+    case CorridorEnvelopeKind::kMigration: {
+      arrival.vehicle = reader.readU32();
+      const std::uint32_t count = reader.readU32();
+      for (std::uint32_t i = 0; i < count; ++i) {
+        arrival.blacklist.push_back(reader.readId<common::Address>());
+      }
+      break;
+    }
+    case CorridorEnvelopeKind::kSessionHandoff:
+      arrival.session = core::DetectionSession::deserialize(reader);
+      if (arrival.session.reporters.empty()) {
+        throw std::invalid_argument{"corridor envelope: hand-off without a "
+                                    "reporter"};
+      }
+      break;
+    case CorridorEnvelopeKind::kRevocation:
+      arrival.suspect = reader.readId<common::Address>();
+      arrival.direction = reader.readU8();
+      arrival.ttl = reader.readU8();
+      if (arrival.direction > 1 || arrival.ttl == 0 ||
+          arrival.ttl > kRevocationTtl) {
+        throw std::invalid_argument{"corridor envelope: revocation direction "
+                                    "or ttl out of range"};
+      }
+      break;
+    default:
+      throw std::invalid_argument{"corridor envelope: unknown kind " +
+                                  std::to_string(envelope.kind)};
+  }
+  codec::expectConsumed(reader, "corridor envelope");
+  return arrival;
+}
+
+/// True iff vehicle `id` is where the uninterrupted run has it at the start
+/// of `epoch`: in the fleet, entered, not departed, and inside `segment`.
+bool residesAt(const CorridorConfig& config, std::uint32_t id,
+               std::uint32_t segment, std::uint32_t epoch) {
+  if (id >= config.vehicles) return false;
+  const VehicleSpec spec = vehicleSpec(config, id);
+  const double x = vehicleX(spec, static_cast<std::int64_t>(epoch) * kEpochUs);
+  return spec.entryEpoch < epoch && spec.departEpoch >= epoch && x >= 0.0 &&
+         std::floor(x / kSegmentLengthM) == static_cast<double>(segment);
 }
 
 }  // namespace
@@ -230,7 +289,7 @@ net::MediumStats CorridorShard::mediumStats() const {
 }
 
 bool CorridorShard::rsuDark(std::uint32_t segment, std::uint32_t epoch) const {
-  for (const fault::SegmentRsuOutageEvent& outage : config_.faults.rsuOutages) {
+  for (const SegmentRsuOutageEvent& outage : config_.rsuOutages) {
     if (outage.segment == segment && epoch >= outage.fromEpoch &&
         epoch < outage.untilEpoch) {
       return true;
@@ -333,9 +392,8 @@ void CorridorShard::isolate(Segment& segment, common::Address suspect) {
   segment.log.push_back({currentEpoch_,
                          static_cast<std::uint8_t>(CorridorLogKind::kIsolation),
                          suspect.value(), 0, 0});
-  // Isolation gossips two segments each way.
-  gossipRevocation(segment, suspect, 0, 2);
-  gossipRevocation(segment, suspect, 1, 2);
+  gossipRevocation(segment, suspect, 0, kRevocationTtl);
+  gossipRevocation(segment, suspect, 1, kRevocationTtl);
 }
 
 std::optional<std::uint32_t> CorridorShard::neighbour(const Segment& segment,
@@ -710,25 +768,37 @@ void CorridorShard::emit(Segment& from, std::uint32_t dstSegment,
                       static_cast<std::uint8_t>(kind), std::move(body)});
 }
 
+void CorridorShard::checkInbox(std::span<const shard::Envelope> inbox) const {
+  // A vehicle's position pins it to one segment at a boundary, so "resident
+  // nowhere" needs only the destination segment and the earlier arrivals.
+  std::vector<std::uint32_t> arriving;
+  for (const shard::Envelope& envelope : inbox) {
+    const Arrival arrival = decodeArrival(envelope);
+    if (arrival.kind != CorridorEnvelopeKind::kMigration) continue;
+    const Segment& segment =
+        *segments_.at(envelope.dstSegment - firstSegment_);
+    if (!residesAt(config_, arrival.vehicle, segment.index, currentEpoch_) ||
+        segment.vehicles.contains(arrival.vehicle) ||
+        std::find(arriving.begin(), arriving.end(), arrival.vehicle) !=
+            arriving.end()) {
+      throw std::invalid_argument{
+          "corridor restore: vehicle " + std::to_string(arrival.vehicle) +
+          " cannot migrate into segment " + std::to_string(segment.index)};
+    }
+    arriving.push_back(arrival.vehicle);
+  }
+}
+
 void CorridorShard::applyEnvelope(const shard::Envelope& envelope) {
   Segment& segment = segmentAt(envelope.dstSegment);
-  common::ByteReader reader{envelope.body};
-  switch (static_cast<CorridorEnvelopeKind>(envelope.kind)) {
-    case CorridorEnvelopeKind::kMigration: {
-      const std::uint32_t id = reader.readU32();
-      const std::uint32_t count = reader.readU32();
-      std::vector<common::Address> blacklist;
-      blacklist.reserve(count);
-      for (std::uint32_t i = 0; i < count; ++i) {
-        blacklist.push_back(reader.readId<common::Address>());
-      }
-      spawnVehicle(segment, id, std::move(blacklist),
+  Arrival arrival = decodeArrival(envelope);
+  switch (arrival.kind) {
+    case CorridorEnvelopeKind::kMigration:
+      spawnVehicle(segment, arrival.vehicle, std::move(arrival.blacklist),
                    CorridorLogKind::kMigrateIn, currentEpoch_);
       break;
-    }
     case CorridorEnvelopeKind::kSessionHandoff: {
-      core::DetectionSession session =
-          core::DetectionSession::deserialize(reader);
+      const core::DetectionSession& session = arrival.session;
       if (containsSorted(segment.isolated, session.suspect)) {
         metrics_.counter("corridor.handoffs_dropped").add(1);
         break;
@@ -739,27 +809,23 @@ void CorridorShard::applyEnvelope(const shard::Envelope& envelope) {
            session.suspect.value(), envelope.srcSegment,
            session.forwardCount});
       metrics_.counter("corridor.handoffs_adopted").add(1);
-      segment.detector->adopt(std::move(session), sim_.now());
+      segment.detector->adopt(std::move(arrival.session), sim_.now());
       break;
     }
-    case CorridorEnvelopeKind::kRevocation: {
-      const auto suspect = reader.readId<common::Address>();
-      const std::uint8_t direction = reader.readU8();
-      const std::uint8_t ttl = reader.readU8();
-      if (!containsSorted(segment.isolated, suspect)) {
-        insertSorted(segment.isolated, suspect);
+    case CorridorEnvelopeKind::kRevocation:
+      if (!containsSorted(segment.isolated, arrival.suspect)) {
+        insertSorted(segment.isolated, arrival.suspect);
         metrics_.counter("corridor.revocations_applied").add(1);
         segment.log.push_back(
             {currentEpoch_,
              static_cast<std::uint8_t>(CorridorLogKind::kRevocationApplied),
-             suspect.value(), direction, ttl});
+             arrival.suspect.value(), arrival.direction, arrival.ttl});
       }
-      if (ttl > 1) {
-        gossipRevocation(segment, suspect, direction,
-                         static_cast<std::uint8_t>(ttl - 1));
+      if (arrival.ttl > 1) {
+        gossipRevocation(segment, arrival.suspect, arrival.direction,
+                         static_cast<std::uint8_t>(arrival.ttl - 1));
       }
       break;
-    }
   }
 }
 
@@ -899,11 +965,7 @@ void CorridorShard::restoreState(common::ByteReader& reader) {
       // Where the uninterrupted run has it: entered before this boundary,
       // not yet departed, and inside this segment. Each segment belongs to
       // one shard, so this also rules out an id resident in two shards.
-      const VehicleSpec spec = vehicleSpec(config_, id);
-      const double x = vehicleX(spec, nowUs);
-      if (spec.entryEpoch >= currentEpoch_ ||
-          spec.departEpoch < currentEpoch_ || x < 0.0 ||
-          static_cast<std::uint32_t>(x / kSegmentLengthM) != segment->index) {
+      if (!residesAt(config_, id, segment->index, currentEpoch_)) {
         throw std::out_of_range{"corridor restore: vehicle not resident here"};
       }
       buildVehicle(*segment, id, std::move(blacklist), anchorUs);
@@ -941,9 +1003,7 @@ CorridorWorld::CorridorWorld(CorridorConfig config, std::uint32_t shards,
         config_, plan_.firstSegment(s), plan_.segmentCount(s)));
     worlds.push_back(shards_.back().get());
   }
-  shard::ShardedSimulation::Config shardConfig;
-  shardConfig.snapshotEvery = effectiveSupervisionEvery(config_);
-  sharded_.emplace(plan_, std::move(worlds), pool, shardConfig);
+  sharded_.emplace(plan_, std::move(worlds), pool);
 }
 
 CorridorWorld::~CorridorWorld() = default;
@@ -955,17 +1015,6 @@ void CorridorWorld::run(std::uint32_t epochs) {
 
 void CorridorWorld::step() {
   BDP_ASSERT_MSG(!finished_, "step after finish");
-  const std::uint32_t epoch = sharded_->epoch();
-  for (const fault::ShardCrashEvent& crash : config_.faults.shardCrashes) {
-    if (crash.epoch != epoch) continue;
-    BDP_ASSERT_MSG(crash.shard < plan_.shards(),
-                   "scripted crash for a nonexistent shard");
-    auto fresh = std::make_unique<CorridorShard>(
-        config_, plan_.firstSegment(crash.shard),
-        plan_.segmentCount(crash.shard));
-    sharded_->restartShard(crash.shard, fresh.get());
-    shards_[crash.shard] = std::move(fresh);
-  }
   sharded_->runEpoch();
 }
 
@@ -1060,8 +1109,12 @@ common::Status CorridorWorld::restoreCheckpoint(
         }
         codec::expectConsumed(exchange, "exchange");
         sharded_->restoreExchange(epoch, std::move(inboxes));
+        for (std::uint32_t s = 0; s < plan_.shards(); ++s) {
+          shards_[s]->checkInbox(sharded_->inboxes()[s]);
+        }
         return common::Status::success();
-      });
+      },
+      [this] { return saveCheckpoint(); });
 }
 
 std::uint64_t CorridorWorld::configHash() const {
@@ -1069,11 +1122,7 @@ std::uint64_t CorridorWorld::configHash() const {
                                  config_.vehicles, 90);
   h = corridorHash(h, config_.attackerPermille, config_.departPermille, 91);
   h = corridorHash(h, plan_.shards(), 0, 93);
-  h = corridorHash(h, effectiveSupervisionEvery(config_), 0, 94);
-  for (const fault::ShardCrashEvent& crash : config_.faults.shardCrashes) {
-    h = corridorHash(h, crash.epoch, crash.shard, 95);
-  }
-  for (const fault::SegmentRsuOutageEvent& outage : config_.faults.rsuOutages) {
+  for (const SegmentRsuOutageEvent& outage : config_.rsuOutages) {
     h = corridorHash(h, outage.segment, outage.fromEpoch, 96);
     h = corridorHash(h, outage.untilEpoch, 0, 97);
   }

@@ -16,7 +16,7 @@
 // so a vehicle bound to its segment at an epoch boundary drifts <= 25 m
 // before the next one — it stays within RSU range (<= 525 m < 1000 m) all
 // epoch and can cross at most into an ADJACENT segment per epoch, which is
-// exactly the shard layer's maxSegmentHops = 1 envelope bound.
+// exactly the shard layer's kMaxSegmentHops = 1 envelope bound.
 //
 // Determinism without RNG: every per-vehicle property (speed, direction,
 // entry point, entry/departure epoch, attacker role) and every per-epoch
@@ -50,6 +50,10 @@
 //   verdict: confirmed suspects (and a cooperative teammate) are dropped
 //             from future digests, announced in-segment, and revoked outward
 //             via ttl-2 directional gossip.
+//
+// Crash recovery has one path, the whole-world checkpoint: a fresh world
+// restores it and resumes byte-identically, and a restore accepts only what
+// a save writes (restoreCheckpoint; DESIGN.md §13 lists the checks).
 #pragma once
 
 #include <cstdint>
@@ -63,7 +67,6 @@
 
 #include "common/result.hpp"
 #include "core/lite_detector.hpp"
-#include "fault/fault_plan.hpp"
 #include "net/frame.hpp"
 #include "net/medium.hpp"
 #include "net/node.hpp"
@@ -160,19 +163,26 @@ class CorridorIsolation final : public net::Payload {
 
 // ------------------------------------------------------------------ config
 
+/// A corridor segment's RSU goes dark during epochs [fromEpoch, untilEpoch):
+/// no digest broadcasts, no detector rounds, all received frames ignored.
+/// Cross-segment envelopes (revocation gossip, migrations, handoffs) still
+/// apply — the degraded-mode guarantee that neighbors keep isolating
+/// confirmed black holes inside the dark segment.
+struct SegmentRsuOutageEvent {
+  std::uint32_t segment{0};
+  std::uint32_t fromEpoch{0};
+  std::uint32_t untilEpoch{0};
+};
+
 struct CorridorConfig {
   std::uint64_t seed{42};
   std::uint32_t segments{100};  ///< 1 km each -> corridor length in km
   std::uint32_t vehicles{10000};
   std::uint32_t attackerPermille{10};  ///< ~1% black holes
   std::uint32_t departPermille{20};    ///< ~2% leave mid-run (epochs 6-9)
-  /// Scripted infrastructure faults. Only shardCrashes and rsuOutages are
-  /// meaningful in the corridor; both are epoch-indexed and part of the
-  /// config hash, so a checkpoint can only resume under the same plan.
-  fault::FaultPlan faults{};
-  /// Supervisor snapshot interval in epochs. 0 = auto: supervision turns on
-  /// (every 2 epochs) iff faults.shardCrashes is non-empty.
-  std::uint32_t supervisionEvery{0};
+  /// Scripted dark RSUs. Epoch-indexed and part of the config hash, so a
+  /// checkpoint can only resume under the same outages.
+  std::vector<SegmentRsuOutageEvent> rsuOutages;
 };
 
 /// Everything there is to know about one vehicle, as a pure hash of
@@ -266,14 +276,19 @@ class CorridorShard final : public shard::ShardWorld {
   /// registry, and the effective medium stats. Everything transient
   /// (digests, chains, ack timers) is dead at a boundary by construction,
   /// so it is not saved.
-  void saveState(common::ByteWriter& writer) const override;
+  void saveState(common::ByteWriter& writer) const;
 
   /// Inverse of saveState into a freshly constructed shard. Restored
   /// vehicles re-anchor their LinearMotion at the ORIGINAL anchor time, so
   /// positions stay bit-identical to the uninterrupted run. A resident
   /// vehicle must have entered, not departed, and sit inside its segment at
   /// the restored boundary — which also keeps every id in one shard only.
-  void restoreState(common::ByteReader& reader) override;
+  void restoreState(common::ByteReader& reader);
+
+  /// Checks a restored inbox of this shard: every body decodes as runEpoch
+  /// applies it, and a migrating vehicle is in the fleet, resident nowhere,
+  /// and where the uninterrupted run has it. Throws otherwise.
+  void checkInbox(std::span<const shard::Envelope> inbox) const;
 
   /// Folds medium stats into the registry; call once, after the final
   /// epoch. gridRebuilds is deliberately NOT folded — it depends
@@ -371,9 +386,7 @@ class CorridorWorld {
   /// `while (nextEpoch() < epochs) step(); finish();`.
   void run(std::uint32_t epochs);
 
-  /// Advances one epoch, applying any scripted shard crash for this epoch
-  /// first (the supervisor rebuilds the crashed shard from its snapshot and
-  /// replays the retained inboxes before the epoch runs).
+  /// Advances one epoch across all shards and exchanges its envelopes.
   void step();
 
   /// Folds final stats into the per-shard registries; idempotent. The
@@ -391,8 +404,8 @@ class CorridorWorld {
   /// Restores a saveCheckpoint blob into this FRESHLY CONSTRUCTED world
   /// (same config, same shard count — both enforced via the config hash).
   /// Returns the typed decode error ("bad-magic", "bad-crc", ...),
-  /// "config-mismatch", or "malformed" on failure; the world must be
-  /// discarded after a failed restore.
+  /// "config-mismatch", or "malformed" (also for bytes a save would not
+  /// write) on failure; the world must be discarded after a failed restore.
   [[nodiscard]] common::Status restoreCheckpoint(
       std::span<const std::uint8_t> blob);
 
@@ -433,7 +446,7 @@ class CorridorWorld {
 
  private:
   /// Pure hash over every behavior-determining config field (seed, sizes,
-  /// permilles, shard count, supervision, fault plan) —
+  /// permilles, shard count, RSU outages) —
   /// the resume guard in the checkpoint meta section.
   [[nodiscard]] std::uint64_t configHash() const;
 

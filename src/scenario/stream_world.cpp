@@ -585,7 +585,8 @@ common::Status StreamWorld::restoreCheckpoint(
         }
         nextEpoch_ = epoch;
         return common::Status::success();
-      });
+      },
+      [this] { return saveCheckpoint(); });
 }
 
 // ------------------------------------------------------ metrics/invariants

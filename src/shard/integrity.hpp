@@ -2,11 +2,11 @@
 //
 // The epoch barrier validates every batch of Envelopes before routing it:
 // batch CRC seals, (srcSegment, seq) contiguity, plan membership, and the
-// epoch-safety hop bound. Violations used to be hard asserts; they are now
-// ShardIntegrityError — a catchable exception carrying a machine-readable
-// kind — so a supervisor (or a test) can observe the failure, read the
-// counters in ShardStats, and decide whether to restart the shard instead
-// of taking the whole process down.
+// epoch-safety hop bound; a checkpoint restore runs the same exchange
+// checks on the inboxes it reinstalls. Violations are ShardIntegrityError —
+// a catchable exception carrying a machine-readable kind — so a caller (a
+// test, or a world's restore, which reports "malformed") can observe the
+// failure and read the counters in ShardStats instead of the process dying.
 #pragma once
 
 #include <cstdint>
@@ -18,9 +18,10 @@ namespace blackdp::shard {
 
 /// What exactly the barrier rejected.
 enum class IntegrityViolation : std::uint8_t {
-  kOutOfPlan = 0,     ///< src/dst segment outside the plan, or src not owned
-                      ///< by the emitting shard
-  kEpochHops = 1,     ///< envelope travels further than maxSegmentHops
+  kOutOfPlan = 0,     ///< src/dst segment outside the plan, src not owned
+                      ///< by the emitting shard, or restored inboxes that
+                      ///< are not the barrier's routing of their envelopes
+  kEpochHops = 1,     ///< envelope travels further than kMaxSegmentHops
   kSeqDuplicate = 2,  ///< two envelopes share (srcSegment, seq)
   kSeqGap = 3,        ///< a (srcSegment, seq) value is missing from 0..n-1
   kSeqReorder = 4,    ///< emission order regressed within a source segment

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <string>
 #include <utility>
 
@@ -25,7 +24,6 @@ ShardedSimulation::ShardedSimulation(ShardPlan plan,
   }
   inboxes_.resize(worlds_.size());
   outboxes_.resize(worlds_.size());
-  snapshots_.resize(worlds_.size());
   stats_.busySeconds.assign(worlds_.size(), 0.0);
 }
 
@@ -34,25 +32,10 @@ ShardedSimulation::ShardedSimulation(ShardPlan plan,
                                      sim::ThreadPool& pool)
     : ShardedSimulation{std::move(plan), std::move(worlds), pool, Config{}} {}
 
-void ShardedSimulation::takeSnapshots() {
-  pool_.parallelFor(worlds_.size(), [&](std::size_t s) {
-    common::ByteWriter writer;
-    worlds_[s]->saveState(writer);
-    snapshots_[s] = std::move(writer).take();
-  });
-  if (!pool_.failures().empty()) {
-    std::rethrow_exception(pool_.failures().front().error);
-  }
-  hasSnapshot_ = true;
-  snapshotEpoch_ = epoch_;
-  history_.clear();
-  history_.push_back(inboxes_);  // inboxes for epoch snapshotEpoch_
-}
-
 void ShardedSimulation::verifyOutbox(std::uint32_t epoch, std::uint32_t s,
                                      const BatchSeal& seal) {
   const std::vector<Envelope>& outbox = outboxes_[s];
-  if (config_.verifySeals && sealBatch(outbox) != seal) {
+  if (sealBatch(outbox) != seal) {
     ++stats_.crcRejects;
     throw ShardIntegrityError{
         IntegrityViolation::kCrcMismatch, epoch,
@@ -64,26 +47,12 @@ void ShardedSimulation::verifyOutbox(std::uint32_t epoch, std::uint32_t s,
   // lastSeq per source segment of this region, tracking emission order.
   std::vector<std::int64_t> lastSeq(regionEnd - regionFirst, -1);
   for (const Envelope& e : outbox) {
-    if (e.srcSegment < regionFirst || e.srcSegment >= regionEnd ||
-        e.dstSegment >= plan_.segments()) {
+    if (e.srcSegment < regionFirst || e.srcSegment >= regionEnd) {
       ++stats_.seqViolations;
       throw ShardIntegrityError{
           IntegrityViolation::kOutOfPlan, epoch,
           "shard " + std::to_string(s) + " emitted src=" +
-              std::to_string(e.srcSegment) + " dst=" +
-              std::to_string(e.dstSegment) + " outside its region/plan"};
-    }
-    const std::uint32_t hops = e.dstSegment > e.srcSegment
-                                   ? e.dstSegment - e.srcSegment
-                                   : e.srcSegment - e.dstSegment;
-    if (hops > config_.maxSegmentHops) {
-      ++stats_.epochViolations;
-      throw ShardIntegrityError{
-          IntegrityViolation::kEpochHops, epoch,
-          "envelope src=" + std::to_string(e.srcSegment) + " dst=" +
-              std::to_string(e.dstSegment) + " travels " +
-              std::to_string(hops) + " segments (bound " +
-              std::to_string(config_.maxSegmentHops) + ")"};
+              std::to_string(e.srcSegment) + " outside its region"};
     }
     std::int64_t& last = lastSeq[e.srcSegment - regionFirst];
     if (static_cast<std::int64_t>(e.seq) <= last) {
@@ -101,13 +70,33 @@ void ShardedSimulation::verifyOutbox(std::uint32_t epoch, std::uint32_t s,
 }
 
 void ShardedSimulation::verifyMerged(std::uint32_t epoch) {
-  // Post-sort: per source segment the seq values must be exactly 0..n-1.
-  // Duplicates and reorders were rejected per-outbox; what remains
-  // detectable here is a missing emission (a gap), including a missing
-  // seq 0 at the start of a segment's run.
+  // Per source segment the seq values must be exactly 0..n-1. At the
+  // barrier, duplicates and reorders were rejected per outbox, so what
+  // remains detectable here is a missing emission (a gap), including a
+  // missing seq 0 at the start of a segment's run; in a restored exchange
+  // this also catches a (srcSegment, seq) held twice.
   std::uint32_t expected = 0;
   for (std::size_t i = 0; i < merged_.size(); ++i) {
     const Envelope& e = merged_[i];
+    if (e.srcSegment >= plan_.segments() || e.dstSegment >= plan_.segments()) {
+      ++stats_.seqViolations;
+      throw ShardIntegrityError{
+          IntegrityViolation::kOutOfPlan, epoch,
+          "envelope src=" + std::to_string(e.srcSegment) + " dst=" +
+              std::to_string(e.dstSegment) + " outside the plan"};
+    }
+    const std::uint32_t hops = e.dstSegment > e.srcSegment
+                                   ? e.dstSegment - e.srcSegment
+                                   : e.srcSegment - e.dstSegment;
+    if (hops > kMaxSegmentHops) {
+      ++stats_.epochViolations;
+      throw ShardIntegrityError{
+          IntegrityViolation::kEpochHops, epoch,
+          "envelope src=" + std::to_string(e.srcSegment) + " dst=" +
+              std::to_string(e.dstSegment) + " travels " +
+              std::to_string(hops) + " segments (bound " +
+              std::to_string(kMaxSegmentHops) + ")"};
+    }
     if (i == 0 || merged_[i - 1].srcSegment != e.srcSegment) expected = 0;
     if (e.seq != expected) {
       ++stats_.seqViolations;
@@ -121,18 +110,18 @@ void ShardedSimulation::verifyMerged(std::uint32_t epoch) {
   }
 }
 
+void ShardedSimulation::route(std::vector<std::vector<Envelope>>& inboxes) {
+  // Canonical order is preserved per destination shard because the merged
+  // sequence is visited in order.
+  for (auto& inbox : inboxes) inbox.clear();
+  for (Envelope& e : merged_) {
+    inboxes[plan_.shardOf(e.dstSegment)].push_back(std::move(e));
+  }
+}
+
 void ShardedSimulation::runEpoch() {
   const std::uint32_t shards = plan_.shards();
   const std::uint32_t epoch = epoch_;
-
-  // Supervisor snapshot: every K epochs (and unconditionally before the
-  // first epoch after construction or restoreExchange) serialize every
-  // world and restart the inbox replay buffer. Snapshots are read-only
-  // with respect to the run, so the run's surfaces are unchanged.
-  if (config_.snapshotEvery > 0 &&
-      (!hasSnapshot_ || (epoch_ % config_.snapshotEvery) == 0)) {
-    takeSnapshots();
-  }
 
   // Fan out: each shard applies its inbox and runs one epoch, then seals
   // its outbox. Busy time and the seal are written into private slots per
@@ -162,10 +151,11 @@ void ShardedSimulation::runEpoch() {
     }
   }
 
-  // Barrier: verify every outbox (seal, plan membership, hop bound,
-  // emission order), then merge into the canonical (srcSegment, seq) order
-  // and check per-source seq contiguity. Violations throw typed
-  // ShardIntegrityErrors with their ShardStats counter already bumped.
+  // Barrier: verify every outbox (seal, source region, emission order),
+  // then merge into the canonical (srcSegment, seq) order and check the
+  // merged exchange (plan membership, hop bound, per-source seq
+  // contiguity). Violations throw typed ShardIntegrityErrors with their
+  // ShardStats counter already bumped.
   merged_.clear();
   for (std::uint32_t s = 0; s < shards; ++s) {
     if (config_.tamperOutboxHook) config_.tamperOutboxHook(epoch, s, outboxes_[s]);
@@ -176,12 +166,7 @@ void ShardedSimulation::runEpoch() {
   std::sort(merged_.begin(), merged_.end(), canonicalLess);
   verifyMerged(epoch);
 
-  // Route: canonical order is preserved per destination shard because the
-  // merged sequence is visited in order.
-  for (auto& inbox : inboxes_) inbox.clear();
-  for (Envelope& e : merged_) {
-    inboxes_[plan_.shardOf(e.dstSegment)].push_back(std::move(e));
-  }
+  route(inboxes_);
   stats_.envelopesExchanged += merged_.size();
   if (auto* tr = obs::Trace::active()) {
     tr->record({0, obs::EventKind::kShard,
@@ -192,37 +177,6 @@ void ShardedSimulation::runEpoch() {
 
   ++stats_.epochsRun;
   ++epoch_;
-
-  // Retain the freshly routed inboxes (for epoch epoch_) in the replay
-  // buffer; restartShard replays from snapshotEpoch_ up to the current
-  // epoch using exactly these recorded sequences.
-  if (config_.snapshotEvery > 0 && hasSnapshot_) {
-    history_.push_back(inboxes_);
-  }
-}
-
-void ShardedSimulation::restartShard(std::uint32_t s, ShardWorld* fresh) {
-  BDP_ASSERT_MSG(s < worlds_.size(), "restartShard: shard outside the plan");
-  BDP_ASSERT_MSG(fresh != nullptr, "restartShard: null replacement world");
-  ++stats_.shardRestarts;
-  if (hasSnapshot_) {
-    common::ByteReader reader{snapshots_[s]};
-    fresh->restoreState(reader);
-    std::vector<Envelope> discarded;
-    for (std::uint32_t e = snapshotEpoch_; e < epoch_; ++e) {
-      const std::vector<Envelope>& inbox = history_[e - snapshotEpoch_][s];
-      discarded.clear();
-      // Replay: the regenerated outbox is discarded — every other shard
-      // already consumed the original emission before the crash.
-      fresh->runEpoch(e, std::span<const Envelope>{inbox}, discarded);
-      stats_.envelopesReplayed += inbox.size();
-      ++stats_.recoveryEpochs;
-    }
-  } else {
-    BDP_ASSERT_MSG(epoch_ == 0,
-                   "restartShard without supervision snapshots mid-run");
-  }
-  worlds_[s] = fresh;
 }
 
 void ShardedSimulation::restoreExchange(
@@ -230,13 +184,24 @@ void ShardedSimulation::restoreExchange(
   BDP_ASSERT_MSG(epoch_ == 0, "restoreExchange on a running simulation");
   BDP_ASSERT_MSG(inboxes.size() == worlds_.size(),
                  "restoreExchange: one inbox per shard");
+  // The union must pass the barrier's merged-exchange check, and routing it
+  // as the barrier does must give back exactly these inboxes.
+  merged_.clear();
+  for (const std::vector<Envelope>& inbox : inboxes) {
+    merged_.insert(merged_.end(), inbox.begin(), inbox.end());
+  }
+  std::sort(merged_.begin(), merged_.end(), canonicalLess);
+  verifyMerged(epoch);
+  std::vector<std::vector<Envelope>> routed(inboxes.size());
+  route(routed);
+  if (routed != inboxes) {
+    ++stats_.seqViolations;
+    throw ShardIntegrityError{
+        IntegrityViolation::kOutOfPlan, epoch,
+        "restored inboxes are not the barrier's routing of their envelopes"};
+  }
   epoch_ = epoch;
   inboxes_ = std::move(inboxes);
-  // Supervision restarts from scratch: the next runEpoch takes a fresh
-  // snapshot (hasSnapshot_ is false), so restartShard never reaches back
-  // across the restore point.
-  hasSnapshot_ = false;
-  history_.clear();
 }
 
 }  // namespace blackdp::shard

@@ -16,22 +16,17 @@
 // that no physical interaction can cross a region boundary within one epoch
 // (epoch <= range / v_max); the shard layer enforces the structural half of
 // that argument by validating every envelope travels at most
-// `maxSegmentHops` segments.
+// `kMaxSegmentHops` segments.
 //
 // Integrity: each worker seals its epoch outbox with a CRC-32 BatchSeal;
-// the coordinator re-verifies the seal before merging and then checks plan
-// membership, the hop bound, and per-source-segment seq contiguity
-// (0..n-1, emission-ordered). Every violation increments a ShardStats
-// counter and throws a typed, catchable ShardIntegrityError (see
-// shard/integrity.hpp) instead of asserting.
-//
-// Supervision: with Config::snapshotEvery > 0 the coordinator snapshots
-// every world's serialized state (ShardWorld::saveState) every K epochs and
-// retains the inter-epoch inboxes since the last snapshot. restartShard()
-// rebuilds one crashed shard from the snapshot and deterministically
-// replays the missed epochs from the retained inbox buffer — the
-// regenerated outboxes are discarded because the other shards already
-// consumed the originals.
+// the coordinator re-verifies the seal before merging, checks that every
+// envelope comes from the emitting shard's region in emission order, and
+// then checks the merged exchange: plan membership, the hop bound, and
+// per-source-segment seq contiguity (0..n-1). Every violation increments a
+// ShardStats counter and throws a typed, catchable ShardIntegrityError (see
+// shard/integrity.hpp) instead of asserting. restoreExchange, the way a
+// world's whole-world checkpoint reinstalls inboxes(), runs the same checks
+// and routing, so a restore installs only an exchange a barrier produces.
 //
 // Threading: epochs fan out through ThreadPool::parallelFor, so a
 // ShardedSimulation embedded in a parallel campaign trial degrades to
@@ -45,12 +40,16 @@
 #include <span>
 #include <vector>
 
-#include "common/bytes.hpp"
 #include "shard/envelope.hpp"
 #include "shard/integrity.hpp"
 #include "sim/thread_pool.hpp"
 
 namespace blackdp::shard {
+
+/// The epoch-safety bound: with epoch <= range / v_max nothing physical can
+/// move further than one segment per epoch, so no envelope may travel
+/// further. Exceeding it is a ShardIntegrityError (kEpochHops).
+inline constexpr std::uint32_t kMaxSegmentHops = 1;
 
 /// One region's world. Implementations own every stateful object of their
 /// region and must touch nothing shared from runEpoch (it runs on a pool
@@ -65,50 +64,26 @@ class ShardWorld {
   /// envelopes to `outbox` with per-source-segment emission-order `seq`.
   virtual void runEpoch(std::uint32_t epoch, std::span<const Envelope> inbox,
                         std::vector<Envelope>& outbox) = 0;
-
-  /// Serializes the region's full state at an epoch boundary. The default
-  /// is a no-op so stateless test worlds keep working; worlds that want
-  /// supervision or checkpoints override both hooks symmetrically.
-  virtual void saveState(common::ByteWriter& writer) const {
-    (void)writer;
-  }
-
-  /// Restores state saved by saveState into a FRESHLY CONSTRUCTED world.
-  /// Throws std::out_of_range on truncated input (ByteReader contract).
-  virtual void restoreState(common::ByteReader& reader) { (void)reader; }
 };
 
 /// Aggregate run statistics. busySeconds is wall clock (machine dependent);
-/// the integrity and recovery counters are deterministic — zero on a
-/// healthy run regardless of partition.
+/// the integrity counters are deterministic — zero on a healthy run
+/// regardless of partition.
 struct ShardStats {
   std::uint64_t epochsRun{0};
   std::uint64_t envelopesExchanged{0};
   std::uint64_t epochViolations{0};   ///< hop-bound (epoch-safety) rejects
   std::uint64_t seqViolations{0};     ///< seq gap/duplicate/reorder + plan rejects
   std::uint64_t crcRejects{0};        ///< BatchSeal mismatches
-  std::uint64_t shardRestarts{0};     ///< supervisor restarts performed
-  std::uint64_t envelopesReplayed{0}; ///< inbox envelopes re-applied on restart
-  std::uint64_t recoveryEpochs{0};    ///< epochs re-run during restarts
   std::vector<double> busySeconds;    ///< per shard, summed over epochs
 };
 
 class ShardedSimulation {
  public:
   struct Config {
-    /// Maximum segments an envelope may travel (epoch-safety bound): with
-    /// epoch <= range / v_max nothing physical can move further than one
-    /// segment per epoch. Exceeding it is a recoverable
-    /// ShardIntegrityError (kEpochHops), not an assert.
-    std::uint32_t maxSegmentHops{1};
-    /// Supervisor snapshot interval in epochs; 0 disables supervision
-    /// (restartShard then requires a crash before the first epoch).
-    std::uint32_t snapshotEvery{0};
-    /// Verify each outbox's worker-computed BatchSeal on the coordinator.
-    bool verifySeals{true};
-    /// Test/fault-injection seam: mutates a shard's outbox AFTER its seal
-    /// was computed and BEFORE the coordinator verifies it — models
-    /// corruption in transit between worker and barrier.
+    /// Test seam: mutates a shard's outbox AFTER its seal was computed and
+    /// BEFORE the coordinator verifies it — models corruption in transit
+    /// between worker and barrier.
     std::function<void(std::uint32_t epoch, std::uint32_t s,
                        std::vector<Envelope>& outbox)>
         tamperOutboxHook;
@@ -129,18 +104,6 @@ class ShardedSimulation {
   /// barrier integrity violation (counter incremented first).
   void runEpoch();
 
-  void runEpochs(std::uint32_t count) {
-    for (std::uint32_t i = 0; i < count; ++i) runEpoch();
-  }
-
-  /// Supervisor entry point: replaces crashed shard `s` with `fresh` (a
-  /// newly constructed world for the same region), restoring the last
-  /// snapshot into it and replaying the retained inboxes of every epoch
-  /// since. The pending inbox for the CURRENT epoch is coordinator state
-  /// and survives the crash untouched. Requires snapshotEvery > 0 or
-  /// epoch() == 0.
-  void restartShard(std::uint32_t s, ShardWorld* fresh);
-
   /// Pending per-shard inboxes for the next epoch, canonical order
   /// (checkpointed by worlds as the in-flight exchange state).
   [[nodiscard]] const std::vector<std::vector<Envelope>>& inboxes() const {
@@ -149,19 +112,23 @@ class ShardedSimulation {
 
   /// Restores the exchange state saved from inboxes(): sets the epoch
   /// counter and the pending inboxes. Only valid on a fresh simulation
-  /// (epoch() == 0) whose worlds were restored to the same boundary.
+  /// (epoch() == 0) whose worlds were restored to the same boundary. Throws
+  /// ShardIntegrityError unless the inboxes are what a barrier routes.
   void restoreExchange(std::uint32_t epoch,
                        std::vector<std::vector<Envelope>> inboxes);
 
   [[nodiscard]] std::uint32_t epoch() const { return epoch_; }
-  [[nodiscard]] const ShardPlan& plan() const { return plan_; }
   [[nodiscard]] const ShardStats& stats() const { return stats_; }
 
  private:
-  void takeSnapshots();
   void verifyOutbox(std::uint32_t epoch, std::uint32_t s,
                     const BatchSeal& seal);
+  /// The merged-exchange check of the barrier and of restoreExchange, over
+  /// merged_ in canonical order: plan membership, the hop bound, and seq
+  /// 0..n-1 per source segment.
   void verifyMerged(std::uint32_t epoch);
+  /// Moves merged_ into per-destination-shard `inboxes`.
+  void route(std::vector<std::vector<Envelope>>& inboxes);
 
   ShardPlan plan_;
   std::vector<ShardWorld*> worlds_;
@@ -172,13 +139,6 @@ class ShardedSimulation {
   std::vector<std::vector<Envelope>> inboxes_;   ///< per shard, canonical order
   std::vector<std::vector<Envelope>> outboxes_;  ///< per shard, emission order
   std::vector<Envelope> merged_;                 ///< barrier scratch
-  // Supervision state: serialized world snapshots at epoch snapshotEpoch_
-  // plus the inboxes of every epoch since (history_[i] = inboxes for epoch
-  // snapshotEpoch_ + i) — the bounded replay buffer for restartShard.
-  bool hasSnapshot_{false};
-  std::uint32_t snapshotEpoch_{0};
-  std::vector<common::Bytes> snapshots_;  ///< per shard
-  std::vector<std::vector<std::vector<Envelope>>> history_;
 };
 
 }  // namespace blackdp::shard

@@ -10,11 +10,13 @@
 //     config, and 2,000 seeded mutations (byte set, bit flip, section
 //     truncate, section splice) behind a valid CRC, each restored into a
 //     fresh world — every one must come back ok or as a typed error, and
-//     every accepted one must then run three epochs without throwing.
+//     every accepted one must re-save to exactly its own bytes and then run
+//     three epochs without throwing.
 // A counting world pins the driver's own contracts: fail-fast invariants
 // with a replay line, and chaos catching a resume that diverges.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -164,11 +166,16 @@ class EpochWorldTest : public ::testing::Test {
   /// envelope's own rejections never reach the world, so after one of those
   /// the world is still fresh and serves the next restore too. (Were that
   /// not so, the next restore would trip the world's fresh-world assert.)
-  /// An accepted restore then runs `epochsAfter` more epochs.
+  /// An accepted restore then reports through `resavesItself` whether the
+  /// world re-saves to exactly `bytes`, and runs `epochsAfter` more epochs.
   common::Status restoreFresh(std::span<const std::uint8_t> bytes,
-                              int epochsAfter = 0) {
+                              int epochsAfter = 0,
+                              bool* resavesItself = nullptr) {
     if (fresh_ == nullptr) fresh_ = case_.world(11).build();
     const common::Status status = fresh_->restore(bytes);
+    if (status.ok() && resavesItself != nullptr) {
+      *resavesItself = std::ranges::equal(fresh_->save(), bytes);
+    }
     for (int i = 0; status.ok() && i < epochsAfter; ++i) fresh_->runEpoch();
     static const std::set<std::string> envelopeErrors{
         "bad-magic", "bad-version", "truncated", "bad-crc"};
@@ -474,10 +481,15 @@ class EpochWorldTest : public ::testing::Test {
           break;
         }
       }
-      // An accepted mutation must also run on: three epochs, no throw.
+      // An accepted mutation must be bytes a save writes (it re-saves to
+      // itself) and must run on: three epochs, no throw.
       common::Status status;
-      ASSERT_NO_THROW(status = restoreFresh(mutated, 3))
+      bool resavesItself = true;
+      ASSERT_NO_THROW(status = restoreFresh(mutated, 3, &resavesItself))
           << "mutation " << i << ": " << what;
+      ASSERT_TRUE(resavesItself)
+          << "mutation " << i << " (" << what
+          << ") was accepted but re-saves to other bytes";
       if (!status.ok()) {
         ASSERT_EQ(typedErrors().count(status.error().code), 1u)
             << "mutation " << i << " (" << what

@@ -6,8 +6,10 @@
 //     release builds, where these used to be compiled-out asserts;
 //   - kill-at-ANY-epoch-boundary + restore reproduces the uninterrupted
 //     run's metrics JSON and canonical log byte for byte;
-//   - the supervisor restarts a scripted-crash shard from its snapshot and
-//     replays the missed envelopes, converging to the no-fault surfaces;
+//   - a restore rejects hostile shard and exchange sections as typed
+//     "malformed": restored inboxes pass the barrier's own exchange checks
+//     and decode as the shards will apply them, and every single-bit flip
+//     of an exchange section is rejected or runs on without throwing;
 //   - a segment whose RSU is scripted dark still applies revocation gossip
 //     from its neighbours (degraded-mode isolation) while producing no
 //     detection activity of its own.
@@ -409,69 +411,137 @@ TEST_F(HostileShardSectionTest, HistogramShorterThanItsEdgesIsMalformed) {
   EXPECT_EQ(status.error().code, "malformed");
 }
 
-// --------------------------------------------------- supervisor restarts
+// ----------------------------------------------- hostile exchange sections
 
-TEST(ShardSupervisionTest, CrashedShardConvergesToTheNoFaultSurfaces) {
-  const sim::ParallelRunner runner{4};
-  const scenario::CorridorConfig clean = tinyCorridor();
+/// One inbox per shard: the kCorridorExchange section, read and written
+/// through its layout.
+using Inboxes = std::vector<std::vector<shard::Envelope>>;
 
-  scenario::CorridorWorld reference{clean, 4, runner.threadPool()};
-  reference.run(4);
-
-  // Crash a shard whose replayed inbox is provably non-empty: with 4
-  // segments across 4 shards every segment is its own shard, so any
-  // envelope APPLIED at epoch 2 (migrate-in / handoff-in / revocation in
-  // the log) pins a non-empty epoch-2 inbox for that segment's shard. A
-  // crash at epoch 3 restores the epoch-2 snapshot and replays exactly
-  // that inbox.
-  std::optional<std::uint32_t> crashShard;
-  {
-    const std::string log = reference.canonicalLog();
-    std::size_t pos = 0;
-    while (pos < log.size() && !crashShard.has_value()) {
-      const std::size_t end = log.find('\n', pos);
-      const std::string line =
-          log.substr(pos, end == std::string::npos ? end : end - pos);
-      pos = end == std::string::npos ? log.size() : end + 1;
-      std::uint32_t segment = 0;
-      std::uint32_t epoch = 0;
-      if (std::sscanf(line.c_str(), "seg=%u epoch=%u", &segment, &epoch) != 2 ||
-          epoch != 2) {
-        continue;
-      }
-      if (line.find(" migrate-in ") != std::string::npos ||
-          line.find(" handoff-in ") != std::string::npos ||
-          line.find(" revocation ") != std::string::npos) {
-        crashShard = segment;
-      }
+Inboxes readExchange(const common::Bytes& section) {
+  common::ByteReader r{section};
+  Inboxes inboxes(r.readU32());
+  for (std::vector<shard::Envelope>& inbox : inboxes) {
+    for (std::uint32_t n = r.readU32(); n > 0; --n) {
+      inbox.push_back(shard::deserializeEnvelope(r));
     }
   }
-  ASSERT_TRUE(crashShard.has_value())
-      << "no cross-shard envelope applied at epoch 2; pick another epoch";
+  EXPECT_TRUE(r.exhausted());
+  return inboxes;
+}
 
-  scenario::CorridorConfig faulty = clean;
-  faulty.faults.shardCrashes.push_back({3, *crashShard});
-  scenario::CorridorWorld supervised{faulty, 4, runner.threadPool()};
-  supervised.run(4);
+common::Bytes writeExchange(const Inboxes& inboxes) {
+  common::ByteWriter w;
+  w.writeU32(static_cast<std::uint32_t>(inboxes.size()));
+  for (const std::vector<shard::Envelope>& inbox : inboxes) {
+    w.writeU32(static_cast<std::uint32_t>(inbox.size()));
+    for (const shard::Envelope& envelope : inbox) {
+      shard::serializeEnvelope(envelope, w);
+    }
+  }
+  return std::move(w).take();
+}
 
-  // The restart replayed the retained inboxes, so the recovered shard is
-  // indistinguishable on both deterministic surfaces.
-  EXPECT_EQ(supervised.metricsJson(), reference.metricsJson());
-  EXPECT_EQ(supervised.canonicalLog(), reference.canonicalLog());
+/// The tiny corridor on 2 shards, checkpointed after 2 epochs: its exchange
+/// section holds one migration envelope.
+class HostileExchangeSectionTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    scenario::CorridorWorld world{tinyCorridor(), 2, runner_.threadPool()};
+    while (world.nextEpoch() < 2) world.step();
+    const auto decoded = codec::decodeCheckpoint(world.saveCheckpoint());
+    ASSERT_TRUE(decoded.ok());
+    checkpoint_ = decoded.value();
+    const common::Bytes* exchange =
+        checkpoint_.find(codec::CheckpointTag::kCorridorExchange);
+    ASSERT_NE(exchange, nullptr);
+    section_ = *exchange;
+  }
 
-  const shard::ShardStats& stats = supervised.shardStats();
-  EXPECT_EQ(stats.shardRestarts, 1u);
-  EXPECT_GT(stats.envelopesReplayed, 0u);
-  EXPECT_GT(stats.recoveryEpochs, 0u);
+  /// The checkpoint with its exchange section replaced, under a valid CRC.
+  [[nodiscard]] common::Bytes withExchange(const common::Bytes& section) const {
+    codec::CheckpointBuilder builder;
+    for (const codec::CheckpointSection& s : checkpoint_.sections) {
+      const auto tag = static_cast<codec::CheckpointTag>(s.tag);
+      const bool exchange = tag == codec::CheckpointTag::kCorridorExchange;
+      builder.add(tag, exchange ? section : s.body);
+    }
+    return builder.finish();
+  }
 
-  // The integrity counters are part of the metrics surface (and zero on a
-  // healthy run); the recovery counters are machine-plan-dependent and
-  // deliberately are NOT, or the identity above could not hold.
-  const std::string json = supervised.metricsJson();
-  EXPECT_NE(json.find("shard.crc_rejects"), std::string::npos);
-  EXPECT_NE(json.find("shard.epoch_violations"), std::string::npos);
-  EXPECT_NE(json.find("shard.seq_violations"), std::string::npos);
-  EXPECT_EQ(json.find("shard_restarts"), std::string::npos);
+  /// Restores into a fresh world and, when that succeeds, runs 3 epochs.
+  common::Status restoreAndRun(const common::Bytes& blob) {
+    scenario::CorridorWorld fresh{tinyCorridor(), 2, runner_.threadPool()};
+    const common::Status status = fresh.restoreCheckpoint(blob);
+    for (int i = 0; status.ok() && i < 3; ++i) fresh.step();
+    return status;
+  }
+
+  sim::ParallelRunner runner_{2};
+  codec::Checkpoint checkpoint_;
+  common::Bytes section_;
+};
+
+TEST_F(HostileExchangeSectionTest, HandBuiltInboxesAreMalformed) {
+  const Inboxes original = readExchange(section_);
+  ASSERT_EQ(original.size(), 2u);
+  ASSERT_TRUE(original[0].empty());
+  ASSERT_EQ(original[1].size(), 1u);
+  constexpr auto kMigration =
+      static_cast<std::uint8_t>(scenario::CorridorEnvelopeKind::kMigration);
+  ASSERT_EQ(original[1][0].kind, kMigration);
+  common::ByteWriter ghost;
+  ghost.writeU32(100000);  // far outside the 240-vehicle fleet
+  ghost.writeU32(0);       // empty blacklist
+
+  struct Case {
+    const char* name;
+    std::function<void(Inboxes&)> rewrite;
+  };
+  const std::vector<Case> cases{
+      {"envelope in the inbox of a shard not owning its segment",
+       [](Inboxes& in) { std::swap(in[0], in[1]); }},
+      {"revocation with a 2-byte body",
+       [](Inboxes& in) {
+         in[1][0].kind = static_cast<std::uint8_t>(
+             scenario::CorridorEnvelopeKind::kRevocation);
+         in[1][0].body = {0x01, 0x02};
+       }},
+      {"envelope of unknown kind 9", [](Inboxes& in) { in[1][0].kind = 9; }},
+      {"migration of a vehicle outside the fleet",
+       [&](Inboxes& in) { in[1][0].body = ghost.bytes(); }},
+      {"envelope travelling two segments",
+       [](Inboxes& in) {
+         shard::Envelope& e = in[1][0];
+         e.srcSegment = e.dstSegment + 2 < 4 ? e.dstSegment + 2
+                                             : e.dstSegment - 2;
+       }},
+      {"seq 1 without seq 0", [](Inboxes& in) { in[1][0].seq = 1; }},
+  };
+  for (const Case& c : cases) {
+    Inboxes inboxes = original;
+    c.rewrite(inboxes);
+    const common::Bytes blob = withExchange(writeExchange(inboxes));
+    common::Status status;
+    EXPECT_NO_THROW(status = restoreAndRun(blob)) << c.name;
+    EXPECT_EQ(status.ok() ? std::string{"ok"} : status.error().code,
+              "malformed")
+        << c.name;
+  }
+}
+
+TEST_F(HostileExchangeSectionTest, EverySingleBitFlipIsTypedOrRunsOn) {
+  for (std::size_t bit = 0; bit < section_.size() * 8; ++bit) {
+    common::Bytes flipped = section_;
+    flipped[bit / 8] = static_cast<std::uint8_t>(flipped[bit / 8] ^
+                                                 (1u << (bit % 8)));
+    common::Status status;
+    ASSERT_NO_THROW(status = restoreAndRun(withExchange(flipped)))
+        << "byte " << bit / 8 << " bit " << bit % 8;
+    if (!status.ok()) {
+      EXPECT_EQ(status.error().code, "malformed")
+          << "byte " << bit / 8 << " bit " << bit % 8;
+    }
+  }
 }
 
 // ------------------------------------------------- degraded-mode recovery
@@ -517,7 +587,7 @@ TEST(DegradedModeTest, RevocationGossipIsolatesWhileTheRsuIsDark) {
   // Kill the receiving segment's RSU from the revocation epoch onwards: the
   // envelope was emitted by a NEIGHBOUR, so it must still apply.
   scenario::CorridorConfig dark = clean;
-  dark.faults.rsuOutages.push_back(
+  dark.rsuOutages.push_back(
       {revocation->segment, revocation->epoch, kEpochs});
   scenario::CorridorWorld degraded{dark, 1, runner.threadPool()};
   degraded.run(kEpochs);

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/lite_detector.hpp"
+#include "obs/registry.hpp"
 #include "scenario/corridor_world.hpp"
 #include "shard/envelope.hpp"
 #include "shard/sharded_sim.hpp"
@@ -96,7 +97,8 @@ TEST(ShardedSimulationTest, MergesAndRoutesEnvelopesInCanonicalOrder) {
   RecordingWorld high{2, 2};  // segments 2-3, emits 3 -> 2
   shard::ShardedSimulation sharded{plan, {&low, &high},
                                    runner.threadPool()};
-  sharded.runEpochs(2);
+  sharded.runEpoch();
+  sharded.runEpoch();
 
   EXPECT_EQ(sharded.stats().epochsRun, 2u);
   EXPECT_EQ(sharded.stats().envelopesExchanged, 4u);
@@ -307,6 +309,23 @@ TEST(CorridorWorldTest, ShardCountIsUnobservable) {
   EXPECT_GT(quad.shardStats().envelopesExchanged, 0u);
   EXPECT_EQ(mono.shardStats().envelopesExchanged,
             quad.shardStats().envelopesExchanged);
+
+  // The barrier's integrity counters are part of the metrics surface, zero
+  // on a healthy run; no recovery counter is, or a restored run could not
+  // match an uninterrupted one.
+  const obs::Snapshot snapshot = quad.metricsSnapshot();
+  for (const char* name : {"shard.crc_rejects", "shard.epoch_violations",
+                           "shard.seq_violations"}) {
+    const auto it = snapshot.counters.find(name);
+    ASSERT_NE(it, snapshot.counters.end()) << name;
+    EXPECT_EQ(it->second, 0u) << name;
+  }
+  for (const auto& [name, value] : snapshot.counters) {
+    (void)value;
+    for (const char* recovery : {"restart", "replay", "recover", "restore"}) {
+      EXPECT_EQ(name.find(recovery), std::string::npos) << name;
+    }
+  }
 }
 
 TEST(CorridorWorldTest, OddPartitionMatchesToo) {
