@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Crash-consistency gate of one checkpointed world (soak_run --stream or
-# --megacity), the same sequence for both:
+# Crash-consistency gate of one world of the epoch driver (the chaos soak,
+# soak_run --stream or --megacity), the same sequence for each:
 #   1. a full checkpointed run, its manifest validated;
 #   2. a run stopped between two checkpoints, then resumed;
 #   3. cmp of the two runs' surfaces and of their final checkpoint;
@@ -8,7 +8,8 @@
 #
 # Usage: scripts/kill_resume_leg.sh OUT_DIR STOP_AFTER SOAK_RUN_ARGS...
 #   SOAK_RUN_ARGS pick the world and its checkpoint cadence, e.g.
-#   --stream --epochs 40 --stream-seed 4242 --checkpoint-every 10
+#   --stream --epochs 40 --stream-seed 4242 --checkpoint-every 10, or
+#   --epochs 12 --seed 4242 --checkpoint-every 4 for the chaos soak
 # Run from the repository root after building the default preset.
 # OUT_DIR/replay.txt records the flags for the failure artifacts.
 set -euo pipefail

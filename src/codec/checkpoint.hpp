@@ -47,6 +47,7 @@ enum class CheckpointTag : std::uint16_t {
   kCorridorMeta = 6,      ///< megacity config hash, seed, epoch, shard count
   kCorridorShard = 7,     ///< one per shard: segments, detectors, vehicles
   kCorridorExchange = 8,  ///< in-flight cross-shard envelopes (per-shard inboxes)
+  kChaos = 9,  ///< chaos soak: config hash, seed, epoch cursor, folded counters
 };
 
 struct CheckpointSection {

@@ -17,7 +17,8 @@ class ConfusionMatrix {
   void addTrueNegative() { ++tn_; }
   void addFalseNegative() { ++fn_; }
 
-  /// Builds a matrix from pre-aggregated cell counts (e.g. a Fig4Cell).
+  /// Builds a matrix from pre-aggregated counts (e.g. one Fig. 4 cell's
+  /// detected / missed / false-positive tallies).
   [[nodiscard]] static ConfusionMatrix fromCounts(std::uint64_t tp,
                                                   std::uint64_t fp,
                                                   std::uint64_t tn,

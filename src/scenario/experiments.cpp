@@ -2,66 +2,8 @@
 
 #include "baselines/rrep_detectors.hpp"
 #include "common/assert.hpp"
-#include "core/telemetry.hpp"
 
 namespace blackdp::scenario {
-
-namespace {
-
-/// Mixes treatment coordinates into per-trial seeds so every trial draws an
-/// independent world, deterministically.
-std::uint64_t trialSeed(std::uint64_t seedBase, std::uint32_t cluster,
-                        AttackType attack, std::uint32_t trial) {
-  std::uint64_t h = seedBase;
-  h = h * 1000003ull + cluster;
-  h = h * 1000003ull + static_cast<std::uint64_t>(attack);
-  h = h * 1000003ull + trial;
-  h ^= h >> 33;
-  h *= 0xff51afd7ed558ccdull;
-  h ^= h >> 33;
-  return h;
-}
-
-}  // namespace
-
-// ---------------------------------------------------------------- Figure 4
-
-Fig4Cell runFig4Cell(AttackType attack, common::ClusterId cluster,
-                     std::uint32_t trials, std::uint64_t seedBase,
-                     const ScenarioConfig& base,
-                     obs::MetricsRegistry* registry) {
-  Fig4Cell cell;
-  cell.cluster = cluster;
-  cell.attack = attack;
-  cell.trials = trials;
-
-  for (std::uint32_t trial = 0; trial < trials; ++trial) {
-    ScenarioConfig config = base;
-    config.seed = trialSeed(seedBase, cluster.value(), attack, trial);
-    config.attack = attack;
-    config.attackerCluster = cluster;
-
-    HighwayScenario scenario(config);
-    const core::VerificationReport report = scenario.runVerification();
-    const DetectionSummary summary = scenario.detectionSummary();
-    if (registry) {
-      core::recordVerifierTelemetry(*registry, report);
-      for (const core::SessionRecord& record : summary.sessions) {
-        core::recordSessionTelemetry(*registry, record);
-      }
-    }
-
-    if (summary.falsePositive) ++cell.falsePositives;
-    if (summary.confirmedOnAttacker) {
-      ++cell.detected;
-    } else {
-      // The verifier never routes data through an unverified claim, so an
-      // undetected attacker still failed to establish its black hole.
-      ++cell.prevented;
-    }
-  }
-  return cell;
-}
 
 // ---------------------------------------------------------------- Figure 5
 
@@ -141,6 +83,20 @@ Fig5Result runFig5Case(const Fig5Case& c, std::uint64_t seed) {
 // ------------------------------------------------- baseline ablation (§V)
 
 namespace {
+
+/// Mixes treatment coordinates into per-trial seeds so every trial draws an
+/// independent world, deterministically.
+std::uint64_t trialSeed(std::uint64_t seedBase, std::uint32_t cluster,
+                        AttackType attack, std::uint32_t trial) {
+  std::uint64_t h = seedBase;
+  h = h * 1000003ull + cluster;
+  h = h * 1000003ull + static_cast<std::uint64_t>(attack);
+  h = h * 1000003ull + trial;
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdull;
+  h ^= h >> 33;
+  return h;
+}
 
 /// One attack treatment's full baseline run. Kept whole (not per-trial):
 /// the PEAK detector accumulates state across the treatment's discoveries,

@@ -1,57 +1,20 @@
-// Experiment runners for the paper's evaluation (§IV) and the ablations.
+// Experiment runners for the paper's Fig. 5 (§IV-C) and the §V baseline
+// ablation.
 //
-// These are shared by the bench binaries (which print the tables) and by the
-// integration tests (which assert the paper-shape properties: zero false
-// positives, 100% detection in clusters 1–7, degradation in 8–10, and the
-// Fig. 5 packet-count ranges).
+// These are shared by the bench binaries (which print the tables), the
+// campaign engine's fig5 trial, and the integration tests (which assert the
+// Fig. 5 packet-count ranges and the baselines' blind spots). The Fig. 4
+// grid is the built-in `fig4` campaign spec (src/campaign/builtin.cpp).
 #pragma once
 
 #include <string>
 #include <vector>
 
 #include "metrics/confusion.hpp"
-#include "obs/registry.hpp"
 #include "scenario/highway_scenario.hpp"
 #include "sim/parallel.hpp"
 
 namespace blackdp::scenario {
-
-// ---------------------------------------------------------------- Figure 4
-
-struct Fig4Cell {
-  common::ClusterId cluster{};
-  AttackType attack{AttackType::kSingle};
-  std::uint32_t trials{0};
-  std::uint32_t detected{0};        ///< confirmed on a true attacker
-  std::uint32_t falsePositives{0};  ///< trials confirming an honest node
-  std::uint32_t prevented{0};       ///< undetected but route never verified
-                                    ///< through the attacker
-
-  [[nodiscard]] double detectionAccuracy() const {
-    return trials == 0 ? 0.0
-                       : static_cast<double>(detected) /
-                             static_cast<double>(trials);
-  }
-  [[nodiscard]] double falsePositiveRate() const {
-    return trials == 0 ? 0.0
-                       : static_cast<double>(falsePositives) /
-                             static_cast<double>(trials);
-  }
-  [[nodiscard]] double falseNegativeRate() const {
-    return trials == 0 ? 0.0
-                       : static_cast<double>(trials - detected) /
-                             static_cast<double>(trials);
-  }
-};
-
-/// Runs `trials` seeded repetitions of one (cluster, attack-type) treatment.
-/// With a registry, every trial's verifier report and completed detection
-/// sessions fold into it (per-stage latency histograms, verdict counters).
-[[nodiscard]] Fig4Cell runFig4Cell(AttackType attack, common::ClusterId cluster,
-                                   std::uint32_t trials,
-                                   std::uint64_t seedBase,
-                                   const ScenarioConfig& base = {},
-                                   obs::MetricsRegistry* registry = nullptr);
 
 // ---------------------------------------------------------------- Figure 5
 

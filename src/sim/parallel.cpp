@@ -15,8 +15,6 @@
 
 namespace blackdp::sim {
 
-namespace {
-
 std::string describeException(const std::exception_ptr& error) {
   try {
     std::rethrow_exception(error);
@@ -26,8 +24,6 @@ std::string describeException(const std::exception_ptr& error) {
     return "unknown exception";
   }
 }
-
-}  // namespace
 
 unsigned resolveJobCount(unsigned requested) {
   if (requested > 0) return requested;

@@ -43,6 +43,10 @@ namespace blackdp::sim {
 /// requested value, or 0 when the flag is absent.
 [[nodiscard]] unsigned consumeJobsFlag(int& argc, char** argv);
 
+/// The message of a caught task exception ("unknown exception" when it is
+/// not a std::exception).
+[[nodiscard]] std::string describeException(const std::exception_ptr& error);
+
 /// A worker exception that was caught but NOT rethrown by forEachIndex
 /// (only the lowest-indexed failing task's exception propagates).
 struct WorkerFailure {

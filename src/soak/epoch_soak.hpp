@@ -1,6 +1,7 @@
-// Checkpointed epoch soak: one driver for every world that can save and
-// restore itself at an epoch boundary (the stream detector service and the
-// sharded corridor).
+// Checkpointed epoch soak: the one soak driver, for every world that can
+// save and restore itself at an epoch boundary — the randomized chaos
+// trials (soak/chaos_soak.hpp), the stream detector service and the
+// sharded corridor.
 //
 // runCheckpointedSoak drives a world epoch by epoch. After every epoch it
 // runs the world's hard invariants and fails fast on a violation, whose
@@ -10,9 +11,9 @@
 // newest manifest entry and continues, `stopAfter` emulates a kill, and
 // `chaosKills` runs an uninterrupted reference and then that many
 // cut-at-a-hashed-epoch + resume cycles, byte-comparing the surfaces of
-// each against the reference. Because both worlds restore byte-identically,
-// a resumed run's surfaces and final checkpoint equal an uninterrupted
-// run's (CI pins both).
+// each against the reference. Because every world restores
+// byte-identically, a resumed run's surfaces and final checkpoint equal an
+// uninterrupted run's (CI pins all three).
 //
 // Layout of a checkpoint directory:
 //
@@ -82,7 +83,7 @@ class EpochWorld {
 
 /// One kind of world: how to build it fresh, and what to call it.
 struct SoakWorld {
-  std::string name;       ///< "stream" / "megacity" (narration, PASS line)
+  std::string name;       ///< "chaos" / "stream" / "megacity" (PASS line)
   std::uint64_t seed{0};  ///< written to, and checked against, the manifest
   std::string replay;     ///< soak_run flags that rebuild it, minus --epochs
   std::function<std::unique_ptr<EpochWorld>()> build;
@@ -123,6 +124,7 @@ struct EpochViolation {
   std::uint64_t epoch{0};
   std::string invariant;  ///< "invariant", "checkpoint-write",
                           ///< "checkpoint-resume", "kill-resume-identity"
+                          ///< (a chaos trial's own: "honest-isolation", ...)
   std::string detail;
 };
 

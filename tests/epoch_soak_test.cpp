@@ -1,7 +1,7 @@
-// The checkpointed epoch soak and the restore guard, over both worlds.
+// The checkpointed epoch soak and the restore guard, over all three worlds.
 //
 // Every case is written once against a world case (StreamCase,
-// CorridorCase) and runs for each world:
+// CorridorCase, ChaosCase) and runs for each world:
 //   - soak harness: a verifiable manifest, kill/resume identity, a resume
 //     under the wrong seed or from an empty directory, a torn manifest line,
 //     and chaos kill/resume cycles;
@@ -11,9 +11,12 @@
 //     truncate, section splice) behind a valid CRC, each restored into a
 //     fresh world — every one must come back ok or as a typed error, and
 //     every accepted one must re-save to exactly its own bytes and then run
-//     three epochs without throwing.
-// A counting world pins the driver's own contracts: fail-fast invariants
-// with a replay line, and chaos catching a resume that diverges.
+//     on (the case's kEpochsAfterRestore epochs) without throwing.
+// The chaos world adds its own: surfaces independent of the pool size, an
+// injected violation that stops the run with a replayable trial, and a
+// trial count that must match the epoch cursor. A counting world pins the
+// driver's own contracts: fail-fast invariants with a replay line, and
+// chaos catching a resume that diverges.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -35,6 +38,7 @@
 #include "scenario/stream_world.hpp"
 #include "sim/parallel.hpp"
 #include "sim/rng.hpp"
+#include "soak/chaos_soak.hpp"
 #include "soak/epoch_soak.hpp"
 
 namespace blackdp {
@@ -43,6 +47,7 @@ namespace {
 /// The stream detector service at test size.
 struct StreamCase {
   static constexpr codec::CheckpointTag kMetaTag = codec::CheckpointTag::kMeta;
+  static constexpr int kEpochsAfterRestore = 3;
 
   static scenario::StreamConfig config(std::uint64_t seed) {
     scenario::StreamConfig config;
@@ -63,6 +68,7 @@ struct StreamCase {
 struct CorridorCase {
   static constexpr codec::CheckpointTag kMetaTag =
       codec::CheckpointTag::kCorridorMeta;
+  static constexpr int kEpochsAfterRestore = 3;
 
   soak::SoakWorld world(std::uint64_t seed, std::uint32_t variant = 0) const {
     scenario::CorridorConfig config;
@@ -72,6 +78,22 @@ struct CorridorCase {
     config.attackerPermille = 100;
     config.departPermille = 100;
     return soak::corridorSoakWorld(config, 2, runner.threadPool());
+  }
+
+  sim::ParallelRunner runner{2};
+};
+
+/// The chaos soak: 16 randomized trials per epoch on two workers.
+struct ChaosCase {
+  static constexpr codec::CheckpointTag kMetaTag = codec::CheckpointTag::kChaos;
+  /// One epoch, not three: the state is a cursor and counters, with no
+  /// table a later epoch could trip over, and each epoch is 16 full trials
+  /// (three would make the seeded-mutation test take about 20 s).
+  static constexpr int kEpochsAfterRestore = 1;
+
+  /// `variant` > 0 turns inject-violation on (a foreign config, same seed).
+  soak::SoakWorld world(std::uint64_t seed, std::uint32_t variant = 0) const {
+    return soak::chaosSoakWorld({seed, variant > 0}, runner.threadPool());
   }
 
   sim::ParallelRunner runner{2};
@@ -482,10 +504,11 @@ class EpochWorldTest : public ::testing::Test {
         }
       }
       // An accepted mutation must be bytes a save writes (it re-saves to
-      // itself) and must run on: three epochs, no throw.
+      // itself) and must run on without a throw.
       common::Status status;
       bool resavesItself = true;
-      ASSERT_NO_THROW(status = restoreFresh(mutated, 3, &resavesItself))
+      ASSERT_NO_THROW(status = restoreFresh(
+                          mutated, Case::kEpochsAfterRestore, &resavesItself))
           << "mutation " << i << ": " << what;
       ASSERT_TRUE(resavesItself)
           << "mutation " << i << " (" << what
@@ -504,20 +527,25 @@ class EpochWorldTest : public ::testing::Test {
 };
 
 // Each case runs once per world. The stream harness and the corridor corpus
-// keep the suite names they had before the two worlds shared one suite.
+// keep the suite names they had before the worlds shared one suite.
 using StreamSoakHarnessTest = EpochWorldTest<StreamCase>;
 using MegacitySoakHarnessTest = EpochWorldTest<CorridorCase>;
+using ChaosSoakHarnessTest = EpochWorldTest<ChaosCase>;
 using StreamCorruptionCorpusTest = EpochWorldTest<StreamCase>;
 using CorruptionCorpusTest = EpochWorldTest<CorridorCase>;
+using ChaosCorruptionCorpusTest = EpochWorldTest<ChaosCase>;
 
-#define FOR_BOTH_WORLDS(StreamSuite, CorridorSuite, Case) \
-  TEST_F(StreamSuite, Case) { Case(); }                   \
-  TEST_F(CorridorSuite, Case) { Case(); }
+#define FOR_EACH_WORLD(StreamSuite, CorridorSuite, ChaosSuite, Case) \
+  TEST_F(StreamSuite, Case) { Case(); }                              \
+  TEST_F(CorridorSuite, Case) { Case(); }                            \
+  TEST_F(ChaosSuite, Case) { Case(); }
 
-#define HARNESS_CASE(Case) \
-  FOR_BOTH_WORLDS(StreamSoakHarnessTest, MegacitySoakHarnessTest, Case)
-#define CORPUS_CASE(Case) \
-  FOR_BOTH_WORLDS(StreamCorruptionCorpusTest, CorruptionCorpusTest, Case)
+#define HARNESS_CASE(Case)                                             \
+  FOR_EACH_WORLD(StreamSoakHarnessTest, MegacitySoakHarnessTest,       \
+                 ChaosSoakHarnessTest, Case)
+#define CORPUS_CASE(Case)                                              \
+  FOR_EACH_WORLD(StreamCorruptionCorpusTest, CorruptionCorpusTest,     \
+                 ChaosCorruptionCorpusTest, Case)
 
 HARNESS_CASE(WritesCheckpointsWithAVerifiableManifest)
 HARNESS_CASE(KillAndResumeMatchesUninterruptedRun)
@@ -536,7 +564,7 @@ CORPUS_CASE(SeededMutationsComeBackOkOrTyped)
 
 #undef CORPUS_CASE
 #undef HARNESS_CASE
-#undef FOR_BOTH_WORLDS
+#undef FOR_EACH_WORLD
 
 // --- stream only: the recorded d_req trace ---------------------------------
 
@@ -572,6 +600,81 @@ TEST_F(StreamSoakHarnessTest, RecordedTraceReplaysToTheSameVerdictTimeline) {
   scenario::StreamWorld replayed{config};
   for (const auto& specs : epochs) replayed.runEpochFromSpecs(specs);
   EXPECT_EQ(replayed.metrics().verdictHash, *recordedHash);
+}
+
+// --- chaos only: the trial pool, the injected violation, the cursor --------
+
+TEST_F(ChaosSoakHarnessTest, SurfacesAreIdenticalAtOneAndFourJobs) {
+  soak::CheckpointedSoakOptions options;
+  options.epochs = 3;
+  const sim::ParallelRunner one{1};
+  const sim::ParallelRunner four{4};
+  const soak::CheckpointedSoakResult a = soak::runCheckpointedSoak(
+      soak::chaosSoakWorld({18, false}, one.threadPool()), options);
+  const soak::CheckpointedSoakResult b = soak::runCheckpointedSoak(
+      soak::chaosSoakWorld({18, false}, four.threadPool()), options);
+  ASSERT_TRUE(a.passed()) << describe(a);
+  ASSERT_TRUE(b.passed()) << describe(b);
+  EXPECT_EQ(a.surfaces, b.surfaces);
+  const auto metrics = obs::FlatJsonObject::parse(a.surfaces.metricsJson);
+  ASSERT_TRUE(metrics.has_value());
+  EXPECT_EQ(metrics->u64("trials"), 3 * soak::kTrialsPerEpoch);
+}
+
+TEST_F(ChaosSoakHarnessTest, InjectedViolationFailsFastWithATrialReplay) {
+  const soak::ChaosConfig config{19, true};
+  soak::CheckpointedSoakOptions options;
+  options.epochs = 3;
+  const soak::CheckpointedSoakResult result = soak::runCheckpointedSoak(
+      soak::chaosSoakWorld(config, case_.runner.threadPool()), options);
+  EXPECT_EQ(result.endEpoch, 1u);  // no epoch ran after the violating one
+  // Every trial of epoch 0 revoked an honest vehicle, and none after it ran.
+  ASSERT_EQ(result.violations.size(), soak::kTrialsPerEpoch);
+  const soak::EpochViolation& first = result.violations.front();
+  EXPECT_EQ(first.epoch, 0u);
+
+  // The line names one trial; replaying it alone gives the same violation,
+  // described and replayable exactly as the soak reported it.
+  const std::string replay = "replay: soak_run --seed 19 --trial ";
+  const std::size_t at = first.detail.find(replay);
+  ASSERT_NE(at, std::string::npos) << first.detail;
+  const std::uint64_t trial =
+      std::stoull(first.detail.substr(at + replay.size()));
+  const soak::SoakTrialReport again = soak::runTrial(config, trial);
+  ASSERT_EQ(again.violations.size(), 1u);
+  EXPECT_EQ(again.violations.front().invariant, "honest-isolation");
+  EXPECT_EQ(first.detail.rfind(soak::describeTrialViolation(
+                                   config, trial, again.violations.front()),
+                               0),
+            0u)
+      << first.detail;
+}
+
+TEST_F(ChaosCorruptionCorpusTest, TrialCountOffTheEpochCursorIsMalformed) {
+  const auto decoded = codec::decodeCheckpoint(checkpointBlob());
+  ASSERT_TRUE(decoded.ok());
+  // The one section is u64 words: config hash, seed, epoch, trials, ...; the
+  // blob holds epoch 2 and 32 trials.
+  const auto withWord = [&](std::size_t index, std::uint64_t value) {
+    return rebuilt(decoded.value(), [&](auto& sections) {
+      common::ByteReader r{sections.front().body};
+      common::ByteWriter w;
+      for (std::size_t i = 0; !r.exhausted(); ++i) {
+        const std::uint64_t word = r.readU64();
+        w.writeU64(i == index ? value : word);
+      }
+      sections.front().body = std::move(w).take();
+    });
+  };
+  for (const auto& [index, value] :
+       std::vector<std::pair<std::size_t, std::uint64_t>>{
+           {3, 31}, {3, 33}, {3, 48}, {3, 0}, {2, 3}, {2, 0}}) {
+    const common::Status status = restoreFresh(withWord(index, value));
+    ASSERT_FALSE(status.ok()) << "word " << index << " = " << value;
+    EXPECT_EQ(status.error().code, "malformed");
+    EXPECT_NE(status.error().detail.find("epoch cursor"), std::string::npos)
+        << status.error().detail;
+  }
 }
 
 // --- the driver's own contracts, on a counting world ------------------------

@@ -3,39 +3,69 @@
 #include <gtest/gtest.h>
 
 #include "baselines/rrep_detectors.hpp"
+#include "campaign/builtin.hpp"
+#include "campaign/runner.hpp"
 #include "scenario/experiments.hpp"
 
 namespace blackdp::scenario {
 namespace {
 
+/// The first `reps` reps of one (attack, cluster) treatment of the built-in
+/// fig4 campaign, graded as Fig. 4 grades them: an attacker the detector did
+/// not confirm is a miss, whether or not its forged reply landed.
+metrics::ConfusionMatrix runFig4Reps(AttackType attack, std::uint32_t cluster,
+                                     std::uint32_t reps) {
+  const auto spec = campaign::parseCampaignSpec(
+      campaign::findBuiltinSpec("fig4")->json);
+  const auto treatments = campaign::expandTreatments(*spec);
+  metrics::ConfusionMatrix matrix;
+  for (const campaign::Treatment& treatment : *treatments) {
+    const ScenarioConfig& config = treatment.config.scenario;
+    if (config.attack != attack ||
+        config.attackerCluster != common::ClusterId{cluster}) {
+      continue;
+    }
+    for (std::uint32_t rep = 0; rep < reps; ++rep) {
+      const campaign::TrialRecord record =
+          campaign::runTrial(*spec, treatment, rep);
+      if (record.confirmedOnAttacker) {
+        matrix.addTruePositive();
+      } else {
+        matrix.addFalseNegative();
+      }
+      if (record.falsePositive) matrix.addFalsePositive();
+    }
+  }
+  EXPECT_EQ(matrix.tp() + matrix.fn(), reps) << "no fig4 treatment matched";
+  return matrix;
+}
+
 TEST(Fig4Test, NonEvasiveClustersDetectPerfectly) {
-  const Fig4Cell cell =
-      runFig4Cell(AttackType::kSingle, common::ClusterId{2}, 8, 101);
-  EXPECT_EQ(cell.detected, cell.trials);
-  EXPECT_EQ(cell.falsePositives, 0u);
-  EXPECT_DOUBLE_EQ(cell.detectionAccuracy(), 1.0);
+  const metrics::ConfusionMatrix cell = runFig4Reps(AttackType::kSingle, 2, 8);
+  EXPECT_EQ(cell.tp(), 8u);
+  EXPECT_EQ(cell.fp(), 0u);
+  EXPECT_DOUBLE_EQ(cell.recall(), 1.0);
   EXPECT_DOUBLE_EQ(cell.falseNegativeRate(), 0.0);
 }
 
 TEST(Fig4Test, CooperativeAlsoDetectsPerfectlyEarly) {
-  const Fig4Cell cell =
-      runFig4Cell(AttackType::kCooperative, common::ClusterId{5}, 6, 102);
-  EXPECT_EQ(cell.detected, cell.trials);
-  EXPECT_EQ(cell.falsePositives, 0u);
+  const metrics::ConfusionMatrix cell =
+      runFig4Reps(AttackType::kCooperative, 5, 6);
+  EXPECT_EQ(cell.tp(), 6u);
+  EXPECT_EQ(cell.fp(), 0u);
 }
 
 TEST(Fig4Test, RatesSumConsistently) {
-  const Fig4Cell cell =
-      runFig4Cell(AttackType::kSingle, common::ClusterId{9}, 10, 103);
-  EXPECT_DOUBLE_EQ(cell.detectionAccuracy() + cell.falseNegativeRate(), 1.0);
-  EXPECT_EQ(cell.detected + cell.prevented, cell.trials);
+  const metrics::ConfusionMatrix cell = runFig4Reps(AttackType::kSingle, 9, 10);
+  EXPECT_DOUBLE_EQ(cell.recall() + cell.falseNegativeRate(), 1.0);
+  EXPECT_EQ(cell.tp() + cell.fn(), 10u);
 }
 
 TEST(Fig4Test, LastClusterDegradesButNeverFalsePositives) {
-  const Fig4Cell cell =
-      runFig4Cell(AttackType::kSingle, common::ClusterId{10}, 20, 104);
-  EXPECT_LT(cell.detected, cell.trials);  // evasion bites in cluster 10
-  EXPECT_EQ(cell.falsePositives, 0u);
+  const metrics::ConfusionMatrix cell =
+      runFig4Reps(AttackType::kSingle, 10, 20);
+  EXPECT_LT(cell.tp(), 20u);  // evasion bites in cluster 10
+  EXPECT_EQ(cell.fp(), 0u);
 }
 
 TEST(Fig5Test, PacketCountsMatchPaperScenarios) {

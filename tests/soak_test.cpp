@@ -1,42 +1,27 @@
-// Chaos-soak harness tests: plan purity, deterministic replay, and the
+// Chaos-soak trial tests: plan purity, deterministic replay, and the
 // injected-violation path that proves the invariants can actually fire.
+// The chaos world's epochs (trial counts, fail-fast, checkpoints) are
+// pinned with the other worlds in epoch_soak_test.
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "sim/rng.hpp"
-#include "soak/soak_runner.hpp"
+#include "soak/chaos_soak.hpp"
 
 namespace blackdp::soak {
 namespace {
 
-SoakOptions quietOptions(std::uint64_t masterSeed) {
-  SoakOptions options;
-  options.masterSeed = masterSeed;
-  return options;
-}
-
-TEST(SoakRunnerTest, SeedContractIsTheSharedTrialDerivation) {
-  EXPECT_EQ(SoakRunner::seedForTrial(7, 3), sim::deriveTrialSeed(7, 3));
-  EXPECT_NE(SoakRunner::seedForTrial(7, 3), SoakRunner::seedForTrial(7, 4));
-  EXPECT_NE(SoakRunner::seedForTrial(7, 3), SoakRunner::seedForTrial(8, 3));
-}
-
 TEST(SoakRunnerTest, PlansArePureInSeedAndIndex) {
-  const SoakRunner runner{quietOptions(11)};
-  const SoakRunner same{quietOptions(11)};
-  const SoakRunner other{quietOptions(12)};
-
   bool anyDiffers = false;
   for (std::uint64_t trial = 0; trial < 8; ++trial) {
-    const SoakRunner::Plan a = runner.planTrial(trial);
-    const SoakRunner::Plan b = same.planTrial(trial);
+    const TrialPlan a = planTrial(11, trial);
+    const TrialPlan b = planTrial(11, trial);
     EXPECT_EQ(a.description, b.description) << "trial " << trial;
+    EXPECT_EQ(a.config.seed, sim::deriveTrialSeed(11, trial));
     EXPECT_EQ(a.config.seed, b.config.seed);
     EXPECT_EQ(a.config.vehicleCount, b.config.vehicleCount);
     EXPECT_EQ(a.verifyRounds, b.verifyRounds);
     anyDiffers =
-        anyDiffers || a.description != other.planTrial(trial).description;
+        anyDiffers || a.description != planTrial(12, trial).description;
   }
   // A different master seed draws different plans (over 8 trials, some
   // dimension must move).
@@ -44,12 +29,14 @@ TEST(SoakRunnerTest, PlansArePureInSeedAndIndex) {
 }
 
 TEST(SoakRunnerTest, TrialReplaysDeterministically) {
-  const SoakRunner runner{quietOptions(21)};
-  const SoakTrialReport first = runner.runTrial(0);
-  const SoakTrialReport again = runner.runTrial(0);
+  const ChaosConfig config{21, false};
+  const SoakTrialReport first = runTrial(config, 0);
+  const SoakTrialReport again = runTrial(config, 0);
 
-  EXPECT_EQ(first.description, again.description);
-  EXPECT_EQ(first.trialSeed, again.trialSeed);
+  EXPECT_EQ(first.plan.description, again.plan.description);
+  EXPECT_EQ(first.plan.config.seed, again.plan.config.seed);
+  EXPECT_EQ(first.probesSent, again.probesSent);
+  EXPECT_EQ(first.verdicts, again.verdicts);
   ASSERT_EQ(first.violations.size(), again.violations.size());
   for (std::size_t i = 0; i < first.violations.size(); ++i) {
     EXPECT_EQ(first.violations[i].invariant, again.violations[i].invariant);
@@ -58,65 +45,43 @@ TEST(SoakRunnerTest, TrialReplaysDeterministically) {
 }
 
 TEST(SoakRunnerTest, CleanTrialHoldsAllInvariants) {
-  const SoakRunner runner{quietOptions(31)};
-  const SoakTrialReport report = runner.runTrial(0);
+  const SoakTrialReport report = runTrial({31, false}, 0);
   EXPECT_TRUE(report.violations.empty())
       << report.violations.front().invariant << ": "
       << report.violations.front().detail;
 }
 
 TEST(SoakRunnerTest, InjectedViolationFiresAndReplays) {
-  SoakOptions options = quietOptions(41);
-  options.injectViolation = true;
-  const SoakRunner runner{options};
-
-  const SoakTrialReport report = runner.runTrial(0);
+  const ChaosConfig config{41, true};
+  const SoakTrialReport report = runTrial(config, 0);
   ASSERT_FALSE(report.violations.empty());
   EXPECT_EQ(report.violations.front().invariant, "honest-isolation");
-  EXPECT_EQ(report.violations.front().trialSeed,
-            SoakRunner::seedForTrial(41, 0));
+  EXPECT_EQ(report.plan.config.seed, sim::deriveTrialSeed(41, 0));
+  EXPECT_EQ(describeTrialViolation(config, 0, report.violations.front()),
+            "[honest-isolation] trial 0 (seed " +
+                std::to_string(sim::deriveTrialSeed(41, 0)) + "): " +
+                report.violations.front().detail +
+                "\n  replay: soak_run --seed 41 --trial 0 --inject-violation");
 
   // The printed replay line is (seed, trial): a second run must reproduce
   // the identical violation.
-  const SoakTrialReport replay = runner.runTrial(0);
+  const SoakTrialReport replay = runTrial(config, 0);
   ASSERT_EQ(replay.violations.size(), report.violations.size());
   EXPECT_EQ(replay.violations.front().detail, report.violations.front().detail);
 }
 
-TEST(SoakRunnerTest, RunHonorsMaxTrialsAndReportsViaLog) {
-  SoakOptions options = quietOptions(51);
-  options.maxTrials = 2;
-  options.jobs = 2;
-  std::ostringstream log;
-  options.log = &log;
-  const SoakRunner runner{options};
-
-  const SoakResult result = runner.run();
-  EXPECT_EQ(result.trialsRun, 2u);
-  EXPECT_TRUE(result.passed());
-  EXPECT_NE(log.str().find("soak trial 0"), std::string::npos);
-  EXPECT_NE(log.str().find("soak trial 1"), std::string::npos);
-}
-
-TEST(SoakRunnerTest, FailFastStopsSchedulingAfterViolations) {
-  SoakOptions options = quietOptions(61);
-  options.injectViolation = true;  // every trial violates
-  options.maxTrials = 64;
-  options.jobs = 2;
-  const SoakRunner runner{options};
-
-  const SoakResult result = runner.run();
-  EXPECT_FALSE(result.passed());
-  // Only the first batch ran.
-  EXPECT_LE(result.trialsRun, 2u);
-}
-
 TEST(SoakRunnerTest, ReplayTraceMatchesTheReconciledCounters) {
-  const SoakRunner runner{quietOptions(71)};
   std::vector<obs::TraceEvent> trace;
-  const SoakTrialReport report = runner.runTrial(0, &trace);
+  const SoakTrialReport report = runTrial({71, false}, 0, &trace);
   EXPECT_TRUE(report.violations.empty());
   EXPECT_FALSE(trace.empty());
+  std::uint64_t probes = 0;
+  for (const obs::TraceEvent& event : trace) {
+    probes += event.kind == obs::EventKind::kDetector &&
+              static_cast<obs::DetectorOp>(event.op) ==
+                  obs::DetectorOp::kProbeSent;
+  }
+  EXPECT_EQ(probes, report.probesSent);
 }
 
 }  // namespace

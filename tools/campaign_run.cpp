@@ -19,12 +19,14 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 
 #include "campaign/builtin.hpp"
 #include "campaign/runner.hpp"
 #include "metrics/table.hpp"
+#include "number_arg.hpp"
 
 namespace {
 
@@ -33,6 +35,12 @@ void printUsage(std::ostream& out) {
          "[--jobs N] [--out DIR] [--trials N]\n"
          "                    [--resume] [--dry-run] [--pin-sidecar]\n"
          "       campaign_run --list\n";
+}
+
+int usage(const std::string& problem) {
+  std::cerr << "campaign_run: " << problem << '\n';
+  printUsage(std::cerr);
+  return 2;
 }
 
 int listBuiltins() {
@@ -80,21 +88,20 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    const auto needsValue = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::cerr << "campaign_run: " << flag << " needs a value\n";
-        std::exit(2);
-      }
+    const auto value = [&]() -> const char* {
+      if (i + 1 >= argc) std::exit(usage(arg + " needs a value"));
       return argv[++i];
     };
+    const auto number = [&](std::uint64_t min, std::uint64_t max) {
+      return tools::numberArg(arg, value(), min, max, usage);
+    };
     if (arg == "--jobs") {
-      options.jobs =
-          static_cast<unsigned>(std::strtoul(needsValue("--jobs"), nullptr, 10));
+      options.jobs = static_cast<unsigned>(number(0, tools::kMaxJobs));
     } else if (arg == "--out") {
-      options.outDir = needsValue("--out");
+      options.outDir = value();
     } else if (arg == "--trials") {
       trialsOverride = static_cast<std::uint32_t>(
-          std::strtoul(needsValue("--trials"), nullptr, 10));
+          number(1, std::numeric_limits<std::uint32_t>::max()));
     } else if (arg == "--resume") {
       options.resume = true;
     } else if (arg == "--dry-run") {
@@ -107,22 +114,16 @@ int main(int argc, char** argv) {
       printUsage(std::cout);
       return 0;
     } else if (!arg.empty() && arg[0] == '-') {
-      std::cerr << "campaign_run: unknown option " << arg << '\n';
-      printUsage(std::cerr);
-      return 2;
+      return usage("unknown option " + arg);
     } else if (specArg.empty()) {
       specArg = arg;
     } else {
-      std::cerr << "campaign_run: more than one spec given\n";
-      return 2;
+      return usage("more than one spec given");
     }
   }
 
   if (list) return listBuiltins();
-  if (specArg.empty()) {
-    printUsage(std::cerr);
-    return 2;
-  }
+  if (specArg.empty()) return usage("no spec given");
 
   std::string text;
   std::string origin;

@@ -21,10 +21,12 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "number_arg.hpp"
 #include "scenario/stream_world.hpp"
 
 namespace {
@@ -36,6 +38,14 @@ using blackdp::scenario::VerdictEvent;
 
 constexpr const char* kVerdictNames[4] = {"not-confirmed", "single",
                                           "cooperative", "unreachable"};
+
+int usage(const std::string& problem) {
+  std::cerr << problem << "\n"
+            << "usage: replay_serve --trace FILE [--stream-seed S] "
+               "[--clusters C] [--naive] [--json FILE] "
+               "[--expect-hash H] [--diff]\n";
+  return 2;
+}
 
 /// The trace, grouped per epoch (file order preserved inside an epoch).
 struct Trace {
@@ -151,43 +161,42 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const auto value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::cerr << arg << " needs a value\n";
-        std::exit(2);
-      }
+      if (i + 1 >= argc) std::exit(usage(arg + " needs a value"));
       return argv[++i];
     };
+    const auto number = [&](std::uint64_t min, std::uint64_t max) {
+      return blackdp::tools::numberArg(arg, value(), min, max, usage);
+    };
+    constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
     if (arg == "--trace") {
       tracePath = value();
     } else if (arg == "--json") {
       jsonPath = value();
     } else if (arg == "--stream-seed") {
-      config.seed = std::strtoull(value(), nullptr, 10);
+      config.seed = number(0, kMax);
     } else if (arg == "--clusters") {
-      config.clusters =
-          static_cast<std::uint32_t>(std::strtoul(value(), nullptr, 10));
+      config.clusters = static_cast<std::uint32_t>(
+          number(1, std::numeric_limits<std::uint32_t>::max()));
     } else if (arg == "--naive") {
       naive = true;
     } else if (arg == "--diff") {
       diff = true;
     } else if (arg == "--expect-hash") {
       haveExpectHash = true;
-      expectHash = std::strtoull(value(), nullptr, 0);
+      expectHash = number(0, kMax);
     } else {
-      std::cerr << "unknown argument: " << arg << "\n"
-                << "usage: replay_serve --trace FILE [--stream-seed S] "
-                   "[--clusters C] [--naive] [--json FILE] "
-                   "[--expect-hash H] [--diff]\n";
-      return 2;
+      return usage("unknown argument: " + arg);
     }
   }
-  if (tracePath.empty()) {
-    std::cerr << "--trace is required\n";
-    return 2;
-  }
+  if (tracePath.empty()) return usage("--trace is required");
 
   Trace trace;
   if (!loadTrace(tracePath, trace)) return 2;
+  // An empty trace replays to the empty run's hash: a gate on it would
+  // pass without checking anything.
+  if (trace.lines == 0) {
+    return usage(tracePath + " holds no injection lines to replay");
+  }
   std::cout << "replaying " << trace.lines << " d_req(s) across "
             << trace.epochs.size() << " epoch(s)\n";
 

@@ -1,59 +1,63 @@
-// Chaos-soak driver, plus the checkpointed epoch soaks.
+// One soak driver, three worlds, plus the one-trial replay.
 //
-//   soak_run --seconds 30                 # randomized soak within a budget
-//   soak_run --seconds 30 --jobs 8        # parallel trials
-//   soak_run --trials 12                  # fixed trial count instead
-//   soak_run --seed 42 --trial 7          # replay exactly one trial
-//   soak_run --inject-violation ...       # prove the harness catches bugs
+// Every mode runs epoch by epoch through soak::runCheckpointedSoak
+// (src/soak/epoch_soak.hpp) and reads the same epoch flags: the chaos soak
+// (default; 16 randomized adversarial trials per epoch over --jobs
+// workers), --stream the detector service (continuous d_req ingest,
+// memory-watermark invariants), --megacity the sharded corridor
+// (honest-isolation and tables-drained invariants):
 //
-// Checkpointed epoch soaks (one driver for both worlds; see
-// src/soak/epoch_soak.hpp): --stream runs the detector service (continuous
-// d_req ingest, memory-watermark invariants), --megacity the sharded
-// corridor (honest-isolation and tables-drained invariants). Both read the
-// same checkpoint, kill and chaos flags:
-//
-//   soak_run --stream --epochs 600                       # 10-sim-minute flood
+//   soak_run --epochs 100 --jobs 8                # 1,600 chaos trials
+//   soak_run --seed 42 --trial 7 [--trace F]      # replay exactly one trial
+//   soak_run --epochs 1 --inject-violation        # prove the harness fails
+//   soak_run --stream --epochs 600                # 10-sim-minute flood
 //   soak_run --stream --epochs 40 --checkpoint-every 10
 //            --checkpoint-dir ckpts --json metrics.json  # checkpointed run
-//   soak_run --stream ... --stop-after 25                # emulated kill
-//   soak_run --stream ... --resume                       # continue from ckpt
-//   soak_run --stream ... --chaos-kills 3                # kill/resume chaos
-//   soak_run --stream ... --trace trace.jsonl            # record d_req trace
+//   soak_run ... --stop-after 25                  # emulated kill
+//   soak_run ... --resume                         # continue from ckpt
+//   soak_run ... --chaos-kills 3                  # kill/resume chaos
+//   soak_run --stream ... --trace trace.jsonl     # record d_req trace
 //   soak_run --megacity --segments 8 --vehicles 800 --shards 4 --epochs 6
 //            --checkpoint-every 2 --checkpoint-dir ckpts   # checkpointed run
-//   soak_run --megacity ... --surfaces-out surfaces.txt    # byte-compare file
+//   soak_run ... --surfaces-out surfaces.txt      # byte-compare file
 //
-// A flag the chosen mode does not read is a usage error (exit 2). On any
-// invariant violation the process prints one replay line per violation and
-// exits 1. Replays are pure functions of the seed: one thread, any machine,
-// same violation.
+// A flag the chosen mode does not read, or a number out of range, is a
+// usage error (exit 2). Each invariant violation prints with its replay
+// line, and the exit is 1. Replays are pure functions of the seed.
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "number_arg.hpp"
 #include "obs/trace_io.hpp"
 #include "scenario/corridor_world.hpp"
 #include "scenario/stream_world.hpp"
 #include "sim/parallel.hpp"
+#include "soak/chaos_soak.hpp"
 #include "soak/epoch_soak.hpp"
-#include "soak/soak_runner.hpp"
 
 namespace {
 
 /// The modes of the tool, as bits: a flag records the modes that read it.
-enum Mode : unsigned { kChaos = 1u, kStream = 2u, kMegacity = 4u };
-constexpr unsigned kEpochModes = kStream | kMegacity;
+/// kReplay is --trial: one chaos trial, no epochs.
+enum Mode : unsigned { kChaos = 1, kStream = 2, kMegacity = 4, kReplay = 8 };
+constexpr unsigned kEpochModes = kChaos | kStream | kMegacity;
+
+constexpr std::uint64_t kMaxCount = std::numeric_limits<std::uint32_t>::max();
+constexpr std::uint64_t kMaxSeed = std::numeric_limits<std::uint64_t>::max();
 
 int usage(const std::string& problem) {
   std::cerr << problem << "\n"
-            << "usage: soak_run [--seconds N] [--trials N] [--seed S] "
-               "[--jobs J] [--trial K] [--trace FILE] [--inject-violation] "
-               "[--quiet]\n"
+            << "usage: soak_run [--seed S] [--inject-violation] [--jobs J] "
+               "EPOCH-FLAGS\n"
+               "   or: soak_run [--seed S] [--inject-violation] --trial K "
+               "[--trace FILE]\n"
                "   or: soak_run --stream [--stream-seed S] [--clusters C] "
                "[--dreqs-per-epoch D] [--trace FILE] EPOCH-FLAGS\n"
                "   or: soak_run --megacity [--megacity-seed S] [--segments N] "
@@ -110,24 +114,42 @@ int runEpochMode(const blackdp::soak::SoakWorld& world,
   return 0;
 }
 
-void printViolations(const blackdp::soak::SoakRunner& runner,
-                     const std::vector<blackdp::soak::SoakViolation>& violations,
-                     bool injected) {
-  for (const blackdp::soak::SoakViolation& v : violations) {
-    std::cout << "VIOLATION [" << v.invariant << "] trial " << v.trialIndex
-              << " (seed " << v.trialSeed << "): " << v.detail << "\n"
-              << "  replay: soak_run --seed "
-              << runner.options().masterSeed << " --trial " << v.trialIndex
-              << (injected ? " --inject-violation" : "") << "\n";
+/// Reruns one chaos trial on this thread, optionally dumping its trace.
+int replayTrial(const blackdp::soak::ChaosConfig& chaos, std::uint64_t trial,
+                const std::string& tracePath) {
+  std::vector<blackdp::obs::TraceEvent> trace;
+  const blackdp::soak::SoakTrialReport report = blackdp::soak::runTrial(
+      chaos, trial, tracePath.empty() ? nullptr : &trace);
+  std::cout << "replaying trial " << trial << " (seed "
+            << report.plan.config.seed << "): " << report.plan.description
+            << "\n";
+  if (!tracePath.empty()) {
+    std::ofstream out{tracePath, std::ios::trunc};
+    if (!out) {
+      std::cerr << "cannot write trace to " << tracePath << "\n";
+      return 2;
+    }
+    blackdp::obs::writeJsonl(trace, out);
+    std::cout << "trace (" << trace.size() << " events) written to "
+              << tracePath << "\n";
   }
+  for (const blackdp::soak::EpochViolation& v : report.violations) {
+    std::cout << "VIOLATION "
+              << blackdp::soak::describeTrialViolation(chaos, trial, v) << "\n";
+  }
+  if (report.violations.empty()) {
+    std::cout << "all invariants held.\n";
+    return 0;
+  }
+  return 1;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  blackdp::soak::SoakOptions options;
-  options.log = &std::cout;
-  std::optional<std::uint64_t> replayTrial;
+  blackdp::soak::ChaosConfig chaos;
+  std::uint64_t trial = 0;
+  unsigned jobs = 0;
   std::string tracePath;
 
   blackdp::scenario::StreamConfig stream;
@@ -144,15 +166,14 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const auto value = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::cerr << arg << " needs a value\n";
-        std::exit(2);
-      }
+      if (i + 1 >= argc) std::exit(usage(arg + " needs a value"));
       return argv[++i];
     };
-    const auto u64 = [&] { return std::strtoull(value(), nullptr, 10); };
-    const auto u32 = [&] {
-      return static_cast<std::uint32_t>(std::strtoul(value(), nullptr, 10));
+    const auto number = [&](std::uint64_t min, std::uint64_t max) {
+      return blackdp::tools::numberArg(arg, value(), min, max, usage);
+    };
+    const auto count = [&] {
+      return static_cast<std::uint32_t>(number(1, kMaxCount));
     };
     unsigned readers = kEpochModes;
     if (arg == "--stream") {
@@ -160,68 +181,59 @@ int main(int argc, char** argv) {
     } else if (arg == "--megacity") {
       mode = readers = kMegacity;
     } else if (arg == "--epochs") {
-      epochs = u64();
+      epochs = number(1, kMaxCount);
     } else if (arg == "--checkpoint-every") {
-      epochOptions.checkpointEvery = u64();
+      epochOptions.checkpointEvery = number(0, kMaxCount);
     } else if (arg == "--checkpoint-dir") {
       epochOptions.checkpointDir = value();
     } else if (arg == "--resume") {
       epochOptions.resume = true;
     } else if (arg == "--stop-after") {
-      epochOptions.stopAfter = u64();
+      epochOptions.stopAfter = number(0, kMaxCount);
     } else if (arg == "--chaos-kills") {
-      epochOptions.chaosKills = u64();
+      epochOptions.chaosKills = number(0, kMaxCount);
     } else if (arg == "--json") {
       jsonPath = value();
     } else if (arg == "--surfaces-out") {
       surfacesPath = value();
     } else if (arg == "--stream-seed") {
-      stream.seed = u64();
+      stream.seed = number(0, kMaxSeed);
       readers = kStream;
     } else if (arg == "--clusters") {
-      stream.clusters = u32();
+      stream.clusters = count();
       readers = kStream;
     } else if (arg == "--dreqs-per-epoch") {
-      stream.dreqsPerEpoch = u32();
+      stream.dreqsPerEpoch = count();
       readers = kStream;
     } else if (arg == "--megacity-seed") {
-      corridor.seed = u64();
+      corridor.seed = number(0, kMaxSeed);
       readers = kMegacity;
     } else if (arg == "--segments") {
-      corridor.segments = u32();
+      corridor.segments = count();
       readers = kMegacity;
     } else if (arg == "--vehicles") {
-      corridor.vehicles = u32();
+      corridor.vehicles = count();
       readers = kMegacity;
     } else if (arg == "--shards") {
-      shards = u32();
+      shards = count();
       readers = kMegacity;
     } else if (arg == "--jobs") {
-      options.jobs = u32();
+      jobs = static_cast<unsigned>(number(0, blackdp::tools::kMaxJobs));
       readers = kChaos | kMegacity;
     } else if (arg == "--trace") {
       tracePath = value();
-      readers = kChaos | kStream;
+      readers = kReplay | kStream;
     } else if (arg == "--quiet") {
-      options.log = nullptr;
       epochOptions.log = nullptr;
-      readers = kChaos | kEpochModes;
-    } else if (arg == "--seconds") {
-      options.wallClockBudgetS = std::strtod(value(), nullptr);
-      readers = kChaos;
-    } else if (arg == "--trials") {
-      options.maxTrials = u64();
-      options.wallClockBudgetS = 1e9;  // trial count is the stop condition
-      readers = kChaos;
     } else if (arg == "--seed") {
-      options.masterSeed = u64();
-      readers = kChaos;
+      chaos.seed = number(0, kMaxSeed);
+      readers = kChaos | kReplay;
     } else if (arg == "--trial") {
-      replayTrial = u64();
-      readers = kChaos;
+      trial = number(0, kMaxSeed);
+      mode = readers = kReplay;
     } else if (arg == "--inject-violation") {
-      options.injectViolation = true;
-      readers = kChaos;
+      chaos.injectViolation = true;
+      readers = kChaos | kReplay;
     } else {
       return usage("unknown argument: " + arg);
     }
@@ -229,12 +241,19 @@ int main(int argc, char** argv) {
   }
   const char* modeName = mode == kStream     ? "--stream"
                          : mode == kMegacity ? "--megacity"
-                                             : "the chaos soak";
+                         : mode == kReplay   ? "--trial"
+                                             : "the chaos soak without --trial";
   for (const auto& [flag, readers] : given) {
     if ((readers & mode) == 0) {
       return usage(flag + " does not apply to " + modeName);
     }
   }
+  if (mode == kMegacity && shards > corridor.segments) {
+    return usage("--shards must be within 1..--segments (" +
+                 std::to_string(corridor.segments) + ")");
+  }
+  if (mode == kReplay) return replayTrial(chaos, trial, tracePath);
+
   epochOptions.epochs = epochs.value_or(mode == kMegacity ? 8 : 40);
   if (epochOptions.chaosKills > 0 &&
       (epochOptions.resume || epochOptions.stopAfter > 0 ||
@@ -243,62 +262,22 @@ int main(int argc, char** argv) {
                  "combine with --resume, --stop-after or --trace");
   }
 
-  if (mode == kStream) {
-    std::ofstream trace;
-    if (!tracePath.empty()) {
-      trace.open(tracePath,
-                 epochOptions.resume ? std::ios::app : std::ios::trunc);
-      if (!trace) {
-        std::cerr << "cannot write trace to " << tracePath << "\n";
-        return 2;
-      }
+  std::ofstream trace;  // only --stream gets this far with a --trace
+  if (!tracePath.empty()) {
+    trace.open(tracePath,
+               epochOptions.resume ? std::ios::app : std::ios::trunc);
+    if (!trace) {
+      std::cerr << "cannot write trace to " << tracePath << "\n";
+      return 2;
     }
-    return runEpochMode(
-        blackdp::soak::streamSoakWorld(stream,
-                                       trace.is_open() ? &trace : nullptr),
-        epochOptions, jsonPath, surfacesPath);
   }
-  if (mode == kMegacity) {
-    const blackdp::sim::ParallelRunner runner{options.jobs};
-    return runEpochMode(blackdp::soak::corridorSoakWorld(
-                            corridor, shards, runner.threadPool()),
-                        epochOptions, jsonPath, surfacesPath);
-  }
-
-  const blackdp::soak::SoakRunner runner{options};
-
-  if (replayTrial) {
-    std::vector<blackdp::obs::TraceEvent> trace;
-    const blackdp::soak::SoakTrialReport report = runner.runTrial(
-        *replayTrial, tracePath.empty() ? nullptr : &trace);
-    std::cout << "replaying trial " << report.trialIndex << " (seed "
-              << report.trialSeed << "): " << report.description << "\n";
-    if (!tracePath.empty()) {
-      std::ofstream out{tracePath, std::ios::trunc};
-      if (!out) {
-        std::cerr << "cannot write trace to " << tracePath << "\n";
-        return 2;
-      }
-      blackdp::obs::writeJsonl(trace, out);
-      std::cout << "trace (" << trace.size() << " events) written to "
-                << tracePath << "\n";
-    }
-    printViolations(runner, report.violations, options.injectViolation);
-    if (report.violations.empty()) {
-      std::cout << "all invariants held.\n";
-      return 0;
-    }
-    return 1;
-  }
-
-  const blackdp::soak::SoakResult result = runner.run();
-  printViolations(runner, result.violations, options.injectViolation);
-  if (result.passed()) {
-    std::cout << "soak PASS: " << result.trialsRun
-              << " randomized trial(s), all invariants held.\n";
-    return 0;
-  }
-  std::cout << "soak FAIL: " << result.violations.size()
-            << " violation(s) across " << result.trialsRun << " trial(s).\n";
-  return 1;
+  const blackdp::sim::ParallelRunner runner{jobs};
+  return runEpochMode(
+      mode == kStream ? blackdp::soak::streamSoakWorld(
+                            stream, trace.is_open() ? &trace : nullptr)
+      : mode == kMegacity
+          ? blackdp::soak::corridorSoakWorld(corridor, shards,
+                                             runner.threadPool())
+          : blackdp::soak::chaosSoakWorld(chaos, runner.threadPool()),
+      epochOptions, jsonPath, surfacesPath);
 }
