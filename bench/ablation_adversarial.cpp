@@ -15,10 +15,10 @@
 //      rejection, and the exoneration/demerit path must keep the
 //      false-quarantine count at exactly zero and quarantine the liars,
 //      with and without a real black hole hiding behind the noise.
-#include <cstdlib>
 #include <iostream>
 #include <vector>
 
+#include "bench_args.hpp"
 #include "metrics/stats.hpp"
 #include "metrics/table.hpp"
 #include "obs/bench_json.hpp"
@@ -80,10 +80,9 @@ TrialResult adversarialTrial(ScenarioConfig config) {
 int main(int argc, char** argv) {
   using metrics::Table;
   const obs::BenchTimer timer;
-  const sim::ParallelRunner runner{sim::consumeJobsFlag(argc, argv)};
-  const std::uint32_t trials =
-      argc > 1 ? static_cast<std::uint32_t>(std::strtoul(argv[1], nullptr, 10))
-               : 10;
+  const bench::TrialArgs args = bench::parseTrialArgs(argc, argv, 10);
+  const sim::ParallelRunner runner{args.jobs};
+  const std::uint32_t trials = args.trials;
 
   std::cout << "Ablation G — adversarial robustness (" << trials
             << " trials per cell, " << runner.jobs() << " jobs)\n\n";

@@ -7,9 +7,9 @@
 // (blind when the attacker is the only replier) and a threshold can be
 // undercut by an adaptive forger; and they cannot tell the cooperative
 // teammate at all. BlackDP examines behaviour through trusted RSUs instead.
-#include <cstdlib>
 #include <iostream>
 
+#include "bench_args.hpp"
 #include "metrics/table.hpp"
 #include "obs/bench_json.hpp"
 #include "scenario/experiments.hpp"
@@ -20,10 +20,9 @@ int main(int argc, char** argv) {
   using metrics::Table;
 
   const obs::BenchTimer timer;
-  const sim::ParallelRunner runner{sim::consumeJobsFlag(argc, argv)};
-  const std::uint32_t trials =
-      argc > 1 ? static_cast<std::uint32_t>(std::strtoul(argv[1], nullptr, 10))
-               : 60;
+  const bench::TrialArgs args = bench::parseTrialArgs(argc, argv, 60);
+  const sim::ParallelRunner runner{args.jobs};
+  const std::uint32_t trials = args.trials;
   std::cout << "Ablation A — BlackDP vs. source-side baselines (" << trials
             << " trials per treatment, attacker in cluster 2)\n\n";
 

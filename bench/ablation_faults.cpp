@@ -16,10 +16,10 @@
 //   3. zero-CH quarantine — every RSU dark from t = 0; the verifier degrades
 //      to a vehicle-local blacklist so the attacker is still isolated at the
 //      reporting vehicle.
-#include <cstdlib>
 #include <iostream>
 #include <vector>
 
+#include "bench_args.hpp"
 #include "metrics/stats.hpp"
 #include "metrics/table.hpp"
 #include "obs/bench_json.hpp"
@@ -98,10 +98,9 @@ TrialResult faultTrial(ScenarioConfig config,
 int main(int argc, char** argv) {
   using metrics::Table;
   const obs::BenchTimer timer;
-  const sim::ParallelRunner runner{sim::consumeJobsFlag(argc, argv)};
-  const std::uint32_t trials =
-      argc > 1 ? static_cast<std::uint32_t>(std::strtoul(argv[1], nullptr, 10))
-               : 10;
+  const bench::TrialArgs args = bench::parseTrialArgs(argc, argv, 10);
+  const sim::ParallelRunner runner{args.jobs};
+  const std::uint32_t trials = args.trials;
 
   std::cout << "Ablation F — detection under infrastructure faults (" << trials
             << " trials per cell, " << runner.jobs() << " jobs)\n\n";

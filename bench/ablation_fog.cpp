@@ -9,6 +9,7 @@
 // moves right proportionally to the fog pool, exactly the paper's argument.
 #include <iostream>
 
+#include "bench_args.hpp"
 #include "core/ch_load_model.hpp"
 #include "metrics/table.hpp"
 #include "obs/bench_json.hpp"
@@ -20,7 +21,7 @@ int main(int argc, char** argv) {
   using metrics::Table;
 
   const obs::BenchTimer timer;
-  const sim::ParallelRunner runner{sim::consumeJobsFlag(argc, argv)};
+  const sim::ParallelRunner runner{bench::parseTrialArgs(argc, argv, 0).jobs};
 
   // 2 ms per verification → a lone RSU saturates at 500 verifications/s.
   const std::vector<double> arrivalRates{100, 300, 450, 600, 1000, 2000};

@@ -12,9 +12,9 @@
 //                       route and the gray hole degrades PDR anyway — the
 //                       documented protocol boundary (future-work material:
 //                       forwarding-observation schemes).
-#include <cstdlib>
 #include <iostream>
 
+#include "bench_args.hpp"
 #include "metrics/stats.hpp"
 #include "metrics/table.hpp"
 #include "obs/bench_json.hpp"
@@ -82,10 +82,9 @@ double grayholeBlackdpTrial(std::uint64_t seed, double dropProbability) {
 int main(int argc, char** argv) {
   using metrics::Table;
   const obs::BenchTimer timer;
-  const sim::ParallelRunner runner{sim::consumeJobsFlag(argc, argv)};
-  const std::uint32_t trials =
-      argc > 1 ? static_cast<std::uint32_t>(std::strtoul(argv[1], nullptr, 10))
-               : 15;
+  const bench::TrialArgs args = bench::parseTrialArgs(argc, argv, 15);
+  const sim::ParallelRunner runner{args.jobs};
+  const std::uint32_t trials = args.trials;
 
   std::cout << "Ablation C — packet delivery ratio (" << trials
             << " trials x " << kPacketsPerTrial << " packets, "

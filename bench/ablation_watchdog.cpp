@@ -7,11 +7,11 @@
 // it locally. The bench also reports what the paper warns about: local
 // opinions are noisy (range asymmetry causes unfair charges), which is why
 // they rank below trusted-RSU confirmation in BlackDP's design.
-#include <cstdlib>
 #include <iostream>
 #include <memory>
 
 #include "baselines/watchdog.hpp"
+#include "bench_args.hpp"
 #include "metrics/stats.hpp"
 #include "metrics/table.hpp"
 #include "obs/bench_json.hpp"
@@ -37,10 +37,9 @@ int main(int argc, char** argv) {
   using metrics::Table;
 
   const obs::BenchTimer timer;
-  const sim::ParallelRunner runner{sim::consumeJobsFlag(argc, argv)};
-  const std::uint32_t trials =
-      argc > 1 ? static_cast<std::uint32_t>(std::strtoul(argv[1], nullptr, 10))
-               : 10;
+  const bench::TrialArgs args = bench::parseTrialArgs(argc, argv, 10);
+  const sim::ParallelRunner runner{args.jobs};
+  const std::uint32_t trials = args.trials;
   std::cout << "Ablation D — watchdog vs. the gray hole (" << trials
             << " trials, " << runner.jobs() << " jobs)\n\n";
 

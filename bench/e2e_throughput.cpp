@@ -22,13 +22,13 @@
 //        --warmup N         warmup data packets per trial (default 2000)
 //        --stream-epochs N  measured stream epochs (default 20)
 //        --jobs N           worker threads (also BLACKDP_JOBS)
+// Every count is at least 1; a bad value or an unknown argument exits 2.
 #include <cstdint>
-#include <cstdlib>
 #include <iostream>
 #include <string>
-#include <string_view>
 #include <vector>
 
+#include "bench_args.hpp"
 #include "common/alloc_hook.hpp"
 #include "metrics/table.hpp"
 #include "obs/bench_json.hpp"
@@ -147,33 +147,39 @@ SpanMeasure streamTrial(std::uint64_t seed, std::uint32_t warmupEpochs,
   return m;
 }
 
-std::uint32_t flagValue(int& argc, char** argv, std::string_view name,
-                        std::uint32_t fallback) {
-  for (int i = 1; i < argc; ++i) {
-    if (argv[i] != name) continue;
-    std::uint32_t value = fallback;
-    if (i + 1 < argc) value = static_cast<std::uint32_t>(
-                          std::strtoul(argv[i + 1], nullptr, 10));
-    const int removed = i + 1 < argc ? 2 : 1;
-    for (int j = i; j + removed < argc; ++j) argv[j] = argv[j + removed];
-    argc -= removed;
-    return value;
-  }
-  return fallback;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   using metrics::Table;
 
   const obs::BenchTimer timer;
-  const unsigned jobs = sim::resolveJobCount(sim::consumeJobsFlag(argc, argv));
-  const std::uint32_t trials = flagValue(argc, argv, "--trials", 2);
-  const std::uint32_t packets = flagValue(argc, argv, "--packets", 10'000);
-  const std::uint32_t warmup = flagValue(argc, argv, "--warmup", 2'000);
-  const std::uint32_t streamEpochs =
-      flagValue(argc, argv, "--stream-epochs", 20);
+  std::uint32_t trials = 2;
+  std::uint32_t packets = 10'000;
+  std::uint32_t warmup = 2'000;
+  std::uint32_t streamEpochs = 20;
+  unsigned requestedJobs = 0;
+  bench::Args args{argc, argv,
+                   "[--trials N] [--packets N] [--warmup N] "
+                   "[--stream-epochs N] [--jobs N]"};
+  while (args.next()) {
+    const auto count = [&args] {
+      return static_cast<std::uint32_t>(args.number(1, bench::kMaxU32));
+    };
+    if (args.is("--trials")) {
+      trials = count();
+    } else if (args.is("--packets")) {
+      packets = count();
+    } else if (args.is("--warmup")) {
+      warmup = count();
+    } else if (args.is("--stream-epochs")) {
+      streamEpochs = count();
+    } else if (args.is("--jobs")) {
+      requestedJobs = static_cast<unsigned>(args.number(0, tools::kMaxJobs));
+    } else {
+      args.reject();
+    }
+  }
+  const unsigned jobs = sim::resolveJobCount(requestedJobs);
   const std::uint32_t streamWarmup = 5;
 
   if (!common::allocHookActive()) {

@@ -21,9 +21,10 @@
 //
 // Flags: --segments N       corridor length in km (default 100)
 //        --vehicles N       fleet size (default 10000)
-//        --epochs N         1 s epochs to run (default 12: full churn window)
-//        --shards-a N       first partitioning (default 1)
-//        --shards-b N       second partitioning (default 4)
+//        --epochs N         1 s epochs to run (default 12: full churn window;
+//                           at least 4, so the crash leg has a checkpoint)
+//        --shards-a N       first partitioning (default 1, at most segments)
+//        --shards-b N       second partitioning (default 4, at most segments)
 //        --seed N           corridor seed (default 42)
 //        --jobs N           worker threads (also BLACKDP_JOBS)
 //        --surfaces-out-a F dump run A's metrics+log to file F (CI cmp)
@@ -34,11 +35,12 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
+#include "bench_args.hpp"
 #include "common/bytes.hpp"
 #include "metrics/table.hpp"
 #include "obs/bench_json.hpp"
@@ -48,44 +50,6 @@
 namespace {
 
 using namespace blackdp;
-
-std::uint32_t flagValue(int& argc, char** argv, std::string_view name,
-                        std::uint32_t fallback) {
-  for (int i = 1; i < argc; ++i) {
-    if (argv[i] != name) continue;
-    std::uint32_t value = fallback;
-    if (i + 1 < argc) value = static_cast<std::uint32_t>(
-                          std::strtoul(argv[i + 1], nullptr, 10));
-    const int removed = i + 1 < argc ? 2 : 1;
-    for (int j = i; j + removed < argc; ++j) argv[j] = argv[j + removed];
-    argc -= removed;
-    return value;
-  }
-  return fallback;
-}
-
-std::string flagString(int& argc, char** argv, std::string_view name) {
-  for (int i = 1; i < argc; ++i) {
-    if (argv[i] != name) continue;
-    std::string value;
-    if (i + 1 < argc) value = argv[i + 1];
-    const int removed = i + 1 < argc ? 2 : 1;
-    for (int j = i; j + removed < argc; ++j) argv[j] = argv[j + removed];
-    argc -= removed;
-    return value;
-  }
-  return {};
-}
-
-bool flagPresent(int& argc, char** argv, std::string_view name) {
-  for (int i = 1; i < argc; ++i) {
-    if (argv[i] != name) continue;
-    for (int j = i; j + 1 < argc; ++j) argv[j] = argv[j + 1];
-    --argc;
-    return true;
-  }
-  return false;
-}
 
 struct RunResult {
   std::string metricsJson;
@@ -202,17 +166,55 @@ int main(int argc, char** argv) {
   using metrics::Table;
 
   const obs::BenchTimer timer;
-  const unsigned jobs = sim::resolveJobCount(sim::consumeJobsFlag(argc, argv));
-  scenario::CorridorConfig config;
-  config.segments = flagValue(argc, argv, "--segments", 100);
-  config.vehicles = flagValue(argc, argv, "--vehicles", 10'000);
-  config.seed = flagValue(argc, argv, "--seed", 42);
-  const std::uint32_t epochs = flagValue(argc, argv, "--epochs", 12);
-  const std::uint32_t shardsA = flagValue(argc, argv, "--shards-a", 1);
-  const std::uint32_t shardsB = flagValue(argc, argv, "--shards-b", 4);
-  const std::string outA = flagString(argc, argv, "--surfaces-out-a");
-  const std::string outB = flagString(argc, argv, "--surfaces-out-b");
-  const bool noJson = flagPresent(argc, argv, "--no-json");
+  scenario::CorridorConfig config;  // 100 segments, 10k vehicles, seed 42
+  std::uint32_t epochs = 12;
+  std::uint32_t shardsA = 1;
+  std::uint32_t shardsB = 4;
+  unsigned requestedJobs = 0;
+  std::string outA;
+  std::string outB;
+  bool noJson = false;
+  bench::Args args{argc, argv,
+                   "[--segments N] [--vehicles N] [--epochs N] "
+                   "[--shards-a N] [--shards-b N] [--seed N] [--jobs N]\n"
+                   "       [--surfaces-out-a FILE] [--surfaces-out-b FILE] "
+                   "[--no-json]"};
+  while (args.next()) {
+    const auto count = [&args](std::uint64_t min) {
+      return static_cast<std::uint32_t>(args.number(min, bench::kMaxU32));
+    };
+    if (args.is("--segments")) {
+      config.segments = count(1);
+    } else if (args.is("--vehicles")) {
+      config.vehicles = count(1);
+    } else if (args.is("--epochs")) {
+      // The crash leg drops the world at epoch (epochs / 2) | 1 and restores
+      // the last even-epoch checkpoint, the first of which is epoch 2's.
+      epochs = count(4);
+    } else if (args.is("--shards-a")) {
+      shardsA = count(1);
+    } else if (args.is("--shards-b")) {
+      shardsB = count(1);
+    } else if (args.is("--seed")) {
+      config.seed = args.number(0, std::numeric_limits<std::uint64_t>::max());
+    } else if (args.is("--jobs")) {
+      requestedJobs = static_cast<unsigned>(args.number(0, tools::kMaxJobs));
+    } else if (args.is("--surfaces-out-a")) {
+      outA = args.value();
+    } else if (args.is("--surfaces-out-b")) {
+      outB = args.value();
+    } else if (args.is("--no-json")) {
+      noJson = true;
+    } else {
+      args.reject();
+    }
+  }
+  if (shardsA > config.segments || shardsB > config.segments) {
+    args.fail("--shards-a " + std::to_string(shardsA) + " and --shards-b " +
+              std::to_string(shardsB) + " must not exceed --segments " +
+              std::to_string(config.segments));
+  }
+  const unsigned jobs = sim::resolveJobCount(requestedJobs);
 
   const sim::ParallelRunner runner{jobs};
   sim::ThreadPool& pool = runner.threadPool();

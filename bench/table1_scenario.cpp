@@ -3,14 +3,18 @@
 // configuration is honoured (cluster coverage, membership, connectivity).
 #include <iostream>
 
+#include "bench_args.hpp"
 #include "metrics/table.hpp"
 #include "obs/bench_json.hpp"
 #include "scenario/highway_scenario.hpp"
 #include "scenario/telemetry.hpp"
 
-int main() {
+int main(int argc, char** argv) {
   using namespace blackdp;
   using metrics::Table;
+
+  bench::Args args{argc, argv, ""};
+  if (args.next()) args.reject();  // Table I takes no arguments
 
   const obs::BenchTimer timer;
   scenario::ScenarioConfig config;

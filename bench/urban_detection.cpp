@@ -8,9 +8,9 @@
 // trusted probing, not on the road geometry. Mobility is harsher (turns
 // break paths more often), so occasional prevented-but-undetected trials
 // are acceptable.
-#include <cstdlib>
 #include <iostream>
 
+#include "bench_args.hpp"
 #include "metrics/confusion.hpp"
 #include "metrics/table.hpp"
 #include "obs/bench_json.hpp"
@@ -55,10 +55,9 @@ UrbanTrialOutcome runTrial(scenario::AttackType attack, std::uint32_t ix,
 int main(int argc, char** argv) {
   using metrics::Table;
   const obs::BenchTimer timer;
-  const sim::ParallelRunner runner{sim::consumeJobsFlag(argc, argv)};
-  const std::uint32_t trials =
-      argc > 1 ? static_cast<std::uint32_t>(std::strtoul(argv[1], nullptr, 10))
-               : 25;
+  const bench::TrialArgs args = bench::parseTrialArgs(argc, argv, 25);
+  const sim::ParallelRunner runner{args.jobs};
+  const std::uint32_t trials = args.trials;
 
   std::cout << "Urban extension — BlackDP on a 4x4-block Manhattan grid ("
             << trials << " trials per placement, " << runner.jobs()

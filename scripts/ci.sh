@@ -50,8 +50,13 @@ stage_bench() {
   (
     cd build
     ./bench/table1_scenario
-    ./bench/fig4_detection 2 --jobs "$jobs"
-    ./bench/fig5_packets --jobs "$jobs"
+    # The paper's Fig. 4, Fig. 5 and sensitivity grids are campaigns; their
+    # shape gates are ctest cases (Fig4Test, Fig5Test, SensitivityTest) at
+    # these sizes.
+    ./tools/campaign_run fig4 --trials 2 --jobs "$jobs" --out "$BLACKDP_BENCH_OUT"
+    ./tools/campaign_run fig5 --jobs "$jobs" --out "$BLACKDP_BENCH_OUT"
+    ./tools/campaign_run sensitivity --trials 3 --jobs "$jobs" \
+      --out "$BLACKDP_BENCH_OUT"
     ./bench/ablation_baselines 5 --jobs "$jobs"
     ./bench/ablation_pdr 2 --jobs "$jobs"
     ./bench/ablation_watchdog 2 --jobs "$jobs"
@@ -59,7 +64,6 @@ stage_bench() {
     ./bench/ablation_faults 2 --jobs "$jobs"
     ./bench/ablation_adversarial 3 --jobs "$jobs"
     ./bench/urban_detection 2 --jobs "$jobs"
-    ./bench/sensitivity_sweep 3 --jobs "$jobs"
     ./bench/ablation_overhead --benchmark_min_time=0.01
     ./bench/micro_substrates --benchmark_min_time=0.01
     ./bench/e2e_throughput --jobs 1  # the committed baseline is --jobs 1
@@ -71,7 +75,8 @@ stage_bench() {
     ./examples/cooperative_blackhole 7 --trace "$BLACKDP_BENCH_OUT"/coop_trace.jsonl
     ./tools/trace_report "$BLACKDP_BENCH_OUT"/coop_trace.jsonl
   ) > "$out/bench-smoke.log"
-  python3 scripts/validate_bench_json.py "$out"/BENCH_*.json
+  python3 scripts/validate_bench_json.py "$out"/BENCH_*.json \
+    "$out"/*.manifest.jsonl
   python3 scripts/bench_compare.py \
     bench/baselines/BENCH_micro_substrates.json \
     "$out"/BENCH_micro_substrates.json

@@ -18,7 +18,8 @@ constexpr std::string_view kFig4Json = R"json({
 })json";
 
 // Fig. 5: detection packets per scripted placement (paper §IV-C). One rep
-// per placement; the bundles mirror scenario::fig5Cases().
+// per placement; these bundles are the one list of the paper's ten
+// placements (campaigns/fig5.json is its editable copy).
 constexpr std::string_view kFig5Json = R"json({
   "name": "fig5",
   "experiment": "fig5",

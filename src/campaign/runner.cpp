@@ -13,7 +13,6 @@
 #include "common/assert.hpp"
 #include "core/telemetry.hpp"
 #include "obs/bench_json.hpp"
-#include "scenario/experiments.hpp"
 #include "scenario/highway_scenario.hpp"
 #include "sim/parallel.hpp"
 
@@ -48,27 +47,72 @@ TrialRecord runDetectionTrial(const Treatment& treatment, TrialRecord record) {
   return record;
 }
 
+/// One scripted Fig. 5 placement (paper §IV-C): the treatment's attack and
+/// placement knobs on a fresh Table-I world, one d_req against the placed
+/// suspect, and the detection packets of the session that finishes on it.
 TrialRecord runFig5Trial(const Treatment& treatment, TrialRecord record) {
-  scenario::Fig5Case scripted;
-  scripted.label = treatment.label;
-  scripted.attack = treatment.config.scenario.attack;
-  scripted.suspectInReporterCluster =
-      treatment.config.fig5.suspectInReporterCluster;
-  scripted.flees = treatment.config.fig5.flees;
+  const scenario::AttackType attack = treatment.config.scenario.attack;
+  const Fig5Knobs& placement = treatment.config.fig5;
 
-  const scenario::Fig5Result result =
-      scenario::runFig5Case(scripted, record.seed);
-  const bool confirmed = result.verdict == core::Verdict::kSingleBlackHole ||
-                         result.verdict == core::Verdict::kCooperativeBlackHole;
-  const bool attackPresent = scripted.attack != scenario::AttackType::kNone;
+  scenario::ScenarioConfig config;
+  config.seed = record.seed;
+  // Deterministic frame ordering: the flee scenarios rely on the leaving
+  // notice arriving before the forged reply.
+  config.medium.maxJitter = sim::Duration{};
+  config.attack = attack;
+  const common::ClusterId suspectCluster{
+      placement.suspectInReporterCluster ? 1u : 2u};
+  config.attackerCluster = suspectCluster;
+  // Scripted placements: no random evasion, only the forced flee.
+  config.evasion.firstEvasiveCluster = 99;
+  if (placement.flees) {
+    config.forcedFleeMode =
+        static_cast<int>(attack::FleeMode::kAfterFirstReply);
+  }
+
+  scenario::HighwayScenario world(config);
+  world.runFor(sim::Duration::milliseconds(500));
+
+  common::Address suspect{};
+  common::ClusterId reportedCluster = suspectCluster;
+  if (attack == scenario::AttackType::kNone) {
+    const common::ClusterId honestCluster{
+        placement.suspectInReporterCluster ? 1u : 3u};
+    reportedCluster = honestCluster;
+    scenario::VehicleEntity* honest = world.findHonestVehicleIn(honestCluster);
+    BDP_ASSERT_MSG(honest != nullptr, "no honest vehicle in target cluster");
+    suspect = honest->address();
+  } else {
+    suspect = world.primaryAttacker()->address();
+  }
+
+  world.injectDetectionRequest(world.source(), suspect, reportedCluster);
+
+  const auto findSession = [&]() -> const core::SessionRecord* {
+    for (auto& rsu : world.rsus()) {
+      for (const core::SessionRecord& session :
+           rsu->detector->completedSessions()) {
+        if (session.suspect == suspect) return &session;
+      }
+    }
+    return nullptr;
+  };
+  const bool finished = world.runUntil(
+      [&] { return findSession() != nullptr; }, sim::Duration::seconds(30));
+  BDP_ASSERT_MSG(finished, "detection session did not complete");
+  const core::SessionRecord& session = *findSession();
+
+  const bool confirmed = session.verdict == core::Verdict::kSingleBlackHole ||
+                         session.verdict == core::Verdict::kCooperativeBlackHole;
+  const bool attackPresent = attack != scenario::AttackType::kNone;
   record.attackLaunched = attackPresent;
   record.confirmedOnAttacker = attackPresent && confirmed;
   record.falsePositive = !attackPresent && confirmed;
-  record.detectionPackets = result.detectionPackets;
-  record.verdict = std::string{core::toString(result.verdict)};
+  record.detectionPackets = session.packetsUsed;
+  record.verdict = std::string{core::toString(session.verdict)};
 
   obs::MetricsRegistry local;
-  core::recordSessionTelemetry(local, result.record);
+  core::recordSessionTelemetry(local, session);
   record.telemetry = local.snapshot();
   return record;
 }

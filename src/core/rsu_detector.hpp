@@ -18,7 +18,7 @@
 //     the core's deadlines.
 //
 // Every packet a CH sends or receives for a session is counted; the counts
-// are what bench/fig5_packets reports.
+// are what the fig5 campaign reports.
 #pragma once
 
 #include <functional>

@@ -1,86 +1,8 @@
 #include "scenario/experiments.hpp"
 
 #include "baselines/rrep_detectors.hpp"
-#include "common/assert.hpp"
 
 namespace blackdp::scenario {
-
-// ---------------------------------------------------------------- Figure 5
-
-std::vector<Fig5Case> fig5Cases() {
-  return {
-      {"no attacker, suspect in reporter's cluster", AttackType::kNone, true,
-       false},
-      {"no attacker, suspect in another cluster", AttackType::kNone, false,
-       false},
-      {"single, same cluster", AttackType::kSingle, true, false},
-      {"single, same cluster, flees mid-detection", AttackType::kSingle, true,
-       true},
-      {"single, other cluster", AttackType::kSingle, false, false},
-      {"single, other cluster, flees mid-detection", AttackType::kSingle,
-       false, true},
-      {"cooperative, same cluster", AttackType::kCooperative, true, false},
-      {"cooperative, same cluster, flees mid-detection",
-       AttackType::kCooperative, true, true},
-      {"cooperative, other cluster", AttackType::kCooperative, false, false},
-      {"cooperative, other cluster, flees mid-detection",
-       AttackType::kCooperative, false, true},
-  };
-}
-
-Fig5Result runFig5Case(const Fig5Case& c, std::uint64_t seed) {
-  ScenarioConfig config;
-  config.seed = seed;
-  // Deterministic frame ordering: the flee scenarios rely on the leaving
-  // notice arriving before the forged reply.
-  config.medium.maxJitter = sim::Duration{};
-  config.attack = c.attack;
-  const common::ClusterId suspectCluster{c.suspectInReporterCluster ? 1u : 2u};
-  config.attackerCluster = suspectCluster;
-  // Scripted placements: no random evasion, only the forced flee.
-  config.evasion.firstEvasiveCluster = 99;
-  if (c.flees) {
-    config.forcedFleeMode =
-        static_cast<int>(attack::FleeMode::kAfterFirstReply);
-  }
-
-  HighwayScenario scenario(config);
-  scenario.runFor(sim::Duration::milliseconds(500));
-
-  common::Address suspect{};
-  common::ClusterId reportedCluster = suspectCluster;
-  if (c.attack == AttackType::kNone) {
-    const common::ClusterId honestCluster{c.suspectInReporterCluster ? 1u
-                                                                     : 3u};
-    reportedCluster = honestCluster;
-    VehicleEntity* honest = scenario.findHonestVehicleIn(honestCluster);
-    BDP_ASSERT_MSG(honest != nullptr, "no honest vehicle in target cluster");
-    suspect = honest->address();
-  } else {
-    suspect = scenario.primaryAttacker()->address();
-  }
-
-  scenario.injectDetectionRequest(scenario.source(), suspect, reportedCluster);
-
-  const auto findSession = [&]() -> const core::SessionRecord* {
-    for (auto& rsu : scenario.rsus()) {
-      for (const core::SessionRecord& record :
-           rsu->detector->completedSessions()) {
-        if (record.suspect == suspect) return &record;
-      }
-    }
-    return nullptr;
-  };
-  const bool finished = scenario.runUntil(
-      [&] { return findSession() != nullptr; }, sim::Duration::seconds(30));
-  BDP_ASSERT_MSG(finished, "detection session did not complete");
-
-  const core::SessionRecord* record = findSession();
-  return Fig5Result{c.label, record->packetsUsed, record->verdict,
-                    record->latency(), *record};
-}
-
-// ------------------------------------------------- baseline ablation (§V)
 
 namespace {
 

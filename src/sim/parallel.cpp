@@ -35,28 +35,6 @@ unsigned resolveJobCount(unsigned requested) {
   return hardware > 0 ? hardware : 1;
 }
 
-unsigned consumeJobsFlag(int& argc, char** argv) {
-  unsigned jobs = 0;
-  int out = 1;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--jobs" && i + 1 < argc) {
-      const long parsed = std::strtol(argv[i + 1], nullptr, 10);
-      if (parsed > 0) jobs = static_cast<unsigned>(parsed);
-      ++i;  // swallow the value
-      continue;
-    }
-    if (arg.rfind("--jobs=", 0) == 0) {
-      const long parsed = std::strtol(arg.c_str() + 7, nullptr, 10);
-      if (parsed > 0) jobs = static_cast<unsigned>(parsed);
-      continue;
-    }
-    argv[out++] = argv[i];
-  }
-  argc = out;
-  return jobs;
-}
-
 ParallelRunner::ParallelRunner(unsigned jobs) : jobs_{resolveJobCount(jobs)} {}
 
 ThreadPool& ParallelRunner::threadPool() const {

@@ -38,11 +38,6 @@ namespace blackdp::sim {
 /// less than 1.
 [[nodiscard]] unsigned resolveJobCount(unsigned requested = 0);
 
-/// Strips every `--jobs N` / `--jobs=N` from argv (so benches can keep
-/// parsing their positional arguments untouched) and returns the last
-/// requested value, or 0 when the flag is absent.
-[[nodiscard]] unsigned consumeJobsFlag(int& argc, char** argv);
-
 /// The message of a caught task exception ("unknown exception" when it is
 /// not a std::exception).
 [[nodiscard]] std::string describeException(const std::exception_ptr& error);

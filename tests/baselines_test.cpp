@@ -1,8 +1,6 @@
-// Related-work baselines: sequence-number detectors, trust manager, and the
-// HMAC message-authentication scheme.
+// Related-work baselines: sequence-number detectors and the trust manager.
 #include <gtest/gtest.h>
 
-#include "baselines/hmac_auth.hpp"
 #include "baselines/rrep_detectors.hpp"
 #include "baselines/trust_manager.hpp"
 
@@ -193,66 +191,6 @@ TEST(TrustTest, ObservationsAreCounted) {
   trust.observe(common::Address{1}, false);
   EXPECT_EQ(trust.observations(common::Address{1}), 2u);
   EXPECT_EQ(trust.observations(common::Address{2}), 0u);
-}
-
-// -------------------------------------------------------------- HMAC auth
-
-TEST(HmacAuthTest, RreqRoundTrip) {
-  SharedKey key;
-  key.bytes[0] = 0x42;
-  aodv::RouteRequest rreq;
-  rreq.origin = common::Address{1};
-  rreq.destSeq = 7;
-  const crypto::Digest mac = macRouteRequest(key, rreq);
-  EXPECT_TRUE(verifyRouteRequest(key, rreq, mac));
-}
-
-TEST(HmacAuthTest, TamperedSeqFailsRreq) {
-  SharedKey key;
-  aodv::RouteRequest rreq;
-  rreq.destSeq = 7;
-  const crypto::Digest mac = macRouteRequest(key, rreq);
-  rreq.destSeq = 99999;  // the black hole's forgery
-  EXPECT_FALSE(verifyRouteRequest(key, rreq, mac));
-}
-
-TEST(HmacAuthTest, HopCountIsMutable) {
-  // Hop count mutates legitimately in flight; it must not break the MAC.
-  SharedKey key;
-  aodv::RouteRequest rreq;
-  const crypto::Digest mac = macRouteRequest(key, rreq);
-  rreq.hopCount = 5;
-  EXPECT_TRUE(verifyRouteRequest(key, rreq, mac));
-}
-
-TEST(HmacAuthTest, RrepRoundTripAndTamper) {
-  SharedKey key;
-  aodv::RouteReply rrep;
-  rrep.replier = common::Address{3};
-  rrep.destSeq = 42;
-  const crypto::Digest mac = macRouteReply(key, rrep);
-  EXPECT_TRUE(verifyRouteReply(key, rrep, mac));
-  rrep.destSeq = 200;
-  EXPECT_FALSE(verifyRouteReply(key, rrep, mac));
-}
-
-TEST(HmacAuthTest, WrongKeyFails) {
-  SharedKey a;
-  SharedKey b;
-  b.bytes[31] = 1;
-  aodv::RouteReply rrep;
-  EXPECT_FALSE(verifyRouteReply(b, rrep, macRouteReply(a, rrep)));
-}
-
-TEST(HmacAuthTest, InsiderWithKeyCanStillForge) {
-  // The scheme's fundamental limit: a compromised insider that holds the
-  // shared key produces "valid" forgeries — message authentication is not
-  // behaviour verification.
-  SharedKey key;
-  aodv::RouteReply forged;
-  forged.destSeq = 999999;
-  forged.replier = common::Address{66};
-  EXPECT_TRUE(verifyRouteReply(key, forged, macRouteReply(key, forged)));
 }
 
 }  // namespace

@@ -369,8 +369,8 @@ TEST(CampaignBuiltinTest, BuiltinsStayInSyncWithCampaignFiles) {
 }
 
 TEST(CampaignFig5Test, ScriptedPlacementsRunUnderTheEngine) {
-  // One scripted placement per kind keeps this fast; the full ten-case grid
-  // is the fig5 builtin exercised by bench/fig5 and the CI smoke stage.
+  // One scripted placement per kind keeps this fast; Fig5Test runs the
+  // full ten-placement fig5 builtin.
   const campaign::CampaignSpec spec = parseOrDie(R"json({
     "name": "fig5_mini",
     "experiment": "fig5",

@@ -1,5 +1,6 @@
-// Experiment runners: small-scale checks of the Fig. 4 / Fig. 5 / ablation
-// machinery that the benches run at paper scale.
+// The paper-shape gates: Fig. 4, Fig. 5 and the sensitivity sweep through
+// their built-in campaign specs, at the sizes CI runs them with
+// tools/campaign_run, plus the §V baseline comparison.
 #include <gtest/gtest.h>
 
 #include "baselines/rrep_detectors.hpp"
@@ -40,6 +41,19 @@ metrics::ConfusionMatrix runFig4Reps(AttackType attack, std::uint32_t cluster,
   return matrix;
 }
 
+/// The built-in campaign `name` at `trials` reps per treatment, run in
+/// memory (no manifest, no BENCH file).
+campaign::CampaignResult runBuiltinCampaign(std::string_view name,
+                                            std::uint32_t trials) {
+  std::optional<campaign::CampaignSpec> spec =
+      campaign::parseCampaignSpec(campaign::findBuiltinSpec(name)->json);
+  spec->trials = trials;
+  campaign::CampaignOptions options;
+  options.writeManifest = false;
+  options.writeBench = false;
+  return campaign::CampaignRunner{options}.run(*spec);
+}
+
 TEST(Fig4Test, NonEvasiveClustersDetectPerfectly) {
   const metrics::ConfusionMatrix cell = runFig4Reps(AttackType::kSingle, 2, 8);
   EXPECT_EQ(cell.tp(), 8u);
@@ -68,41 +82,75 @@ TEST(Fig4Test, LastClusterDegradesButNeverFalsePositives) {
   EXPECT_EQ(cell.fp(), 0u);
 }
 
+// The CI-size Fig. 4 run (`campaign_run fig4 --trials 2`): no false
+// positive in any of the 20 treatments, and every attacker in clusters 1-7
+// is detected. (At 150 reps cooperative cluster 7 misses once, trial 2485.)
+TEST(Fig4Test, TwoRepsOfEveryTreatmentHaveThePaperShape) {
+  const campaign::CampaignResult result = runBuiltinCampaign("fig4", 2);
+  ASSERT_EQ(result.cells.size(), 20u);
+  for (const campaign::TreatmentCell& cell : result.cells) {
+    EXPECT_EQ(cell.falsePositives, 0u) << cell.treatment.label;
+    if (cell.treatment.config.scenario.attackerCluster->value() <= 7) {
+      EXPECT_EQ(cell.detected, cell.trials) << cell.treatment.label;
+    }
+  }
+}
+
+/// One rep of every placement of the built-in fig5 campaign, in spec order,
+/// with the attack type each placement scripts.
+struct Fig5Placement {
+  AttackType attack;
+  campaign::TrialRecord record;
+};
+
+std::vector<Fig5Placement> runFig5Placements() {
+  const auto spec = campaign::parseCampaignSpec(
+      campaign::findBuiltinSpec("fig5")->json);
+  const auto treatments = campaign::expandTreatments(*spec);
+  std::vector<Fig5Placement> placements;
+  for (const campaign::Treatment& treatment : *treatments) {
+    placements.push_back({treatment.config.scenario.attack,
+                          campaign::runTrial(*spec, treatment, 0)});
+  }
+  return placements;
+}
+
 TEST(Fig5Test, PacketCountsMatchPaperScenarios) {
-  struct Expectation {
-    std::size_t index;
-    std::uint32_t packets;
-  };
-  const std::vector<Fig5Case> cases = fig5Cases();
-  // Paper: no attacker 4 (same) / 6 (cross); single 6 / 8(flee) / 8 / 9;
-  // cooperative +2.
-  const std::vector<Expectation> expectations{
-      {0, 4},  {1, 6},  {2, 6},  {3, 8},  {4, 8},
-      {5, 9},  {6, 8},  {8, 10}, {9, 11},
-  };
-  for (const Expectation& e : expectations) {
-    const Fig5Result result = runFig5Case(cases[e.index], 11);
-    EXPECT_EQ(result.detectionPackets, e.packets) << cases[e.index].label;
+  // Paper: no attacker 4 (same cluster) / 6 (other); single 6 / 8 (flees) /
+  // 8 (other) / 9 (other, flees); cooperative adds two teammate probes.
+  const std::vector<std::uint32_t> expected{4, 6, 6, 8, 8, 9, 8, 10, 10, 11};
+  const std::vector<Fig5Placement> placements = runFig5Placements();
+  ASSERT_EQ(placements.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(placements[i].record.detectionPackets, expected[i])
+        << placements[i].record.label;
   }
 }
 
 TEST(Fig5Test, VerdictsMatchAttackTypes) {
-  const std::vector<Fig5Case> cases = fig5Cases();
-  EXPECT_EQ(runFig5Case(cases[0], 11).verdict, core::Verdict::kNotConfirmed);
-  EXPECT_EQ(runFig5Case(cases[2], 11).verdict,
-            core::Verdict::kSingleBlackHole);
-  EXPECT_EQ(runFig5Case(cases[6], 11).verdict,
-            core::Verdict::kCooperativeBlackHole);
+  for (const Fig5Placement& placement : runFig5Placements()) {
+    const core::Verdict expected =
+        placement.attack == AttackType::kNone
+            ? core::Verdict::kNotConfirmed
+        : placement.attack == AttackType::kSingle
+            ? core::Verdict::kSingleBlackHole
+            : core::Verdict::kCooperativeBlackHole;
+    EXPECT_EQ(placement.record.verdict, core::toString(expected))
+        << placement.record.label;
+  }
 }
 
 TEST(Fig5Test, CaseListCoversPaperTreatments) {
-  const std::vector<Fig5Case> cases = fig5Cases();
-  ASSERT_EQ(cases.size(), 10u);
+  const auto spec = campaign::parseCampaignSpec(
+      campaign::findBuiltinSpec("fig5")->json);
+  const auto treatments = campaign::expandTreatments(*spec);
+  ASSERT_TRUE(treatments.has_value());
+  ASSERT_EQ(treatments->size(), 10u);
   int none = 0;
   int single = 0;
   int coop = 0;
-  for (const Fig5Case& c : cases) {
-    switch (c.attack) {
+  for (const campaign::Treatment& treatment : *treatments) {
+    switch (treatment.config.scenario.attack) {
       case AttackType::kNone: ++none; break;
       case AttackType::kSingle: ++single; break;
       case AttackType::kCooperative: ++coop; break;
@@ -112,6 +160,26 @@ TEST(Fig5Test, CaseListCoversPaperTreatments) {
   EXPECT_EQ(none, 2);
   EXPECT_EQ(single, 4);
   EXPECT_EQ(coop, 4);
+}
+
+// The CI-size sensitivity run (`campaign_run sensitivity --trials 3`): no
+// false positive in any of the 12 density x range cells, and the Table-I
+// cell (100 vehicles, 1000 m) detects every attack that was launched.
+TEST(SensitivityTest, ThreeTrialsOfEveryCellHaveThePaperShape) {
+  const campaign::CampaignResult result =
+      runBuiltinCampaign("sensitivity", 3);
+  ASSERT_EQ(result.cells.size(), 12u);
+  const campaign::TreatmentCell* tableI = nullptr;
+  for (const campaign::TreatmentCell& cell : result.cells) {
+    EXPECT_EQ(cell.falsePositives, 0u) << cell.treatment.label;
+    const ScenarioConfig& config = cell.treatment.config.scenario;
+    if (config.vehicleCount == 100 && config.transmissionRangeM == 1000.0) {
+      tableI = &cell;
+    }
+  }
+  ASSERT_NE(tableI, nullptr);
+  EXPECT_GT(tableI->attacksLaunched, 0u);
+  EXPECT_EQ(tableI->detected, tableI->attacksLaunched);
 }
 
 TEST(BaselineComparisonTest, BlackDpDominatesWithZeroFp) {

@@ -1,9 +1,12 @@
 // Randomised invariant checks on the stateful substrates (TEST_P sweeps).
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "aodv/routing_table.hpp"
+#include "campaign/builtin.hpp"
+#include "campaign/runner.hpp"
 #include "crypto/revocation_store.hpp"
-#include "scenario/experiments.hpp"
 #include "sim/rng.hpp"
 
 namespace blackdp {
@@ -100,21 +103,28 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RevocationFuzz, ::testing::Values(1, 7, 42));
 // --------------------------------------------------- Fig. 5 seed stability
 
 // The detection packet counts are protocol constants, not artifacts of one
-// lucky seed: the same scripted placement costs the same packets for any
-// seed.
-class Fig5Stability : public ::testing::TestWithParam<std::uint64_t> {};
+// lucky seed: the same scripted placement of the built-in fig5 campaign
+// costs the same packets under any campaign seed.
+class Fig5Stability : public ::testing::TestWithParam<std::uint64_t> {
+ protected:
+  /// Placement `index` (spec order) of the fig5 builtin at this seed.
+  campaign::TrialRecord runPlacement(std::size_t index) const {
+    std::optional<campaign::CampaignSpec> spec = campaign::parseCampaignSpec(
+        campaign::findBuiltinSpec("fig5")->json);
+    spec->seed = GetParam();
+    const auto treatments = campaign::expandTreatments(*spec);
+    return campaign::runTrial(*spec, treatments->at(index), 0);
+  }
+};
 
 TEST_P(Fig5Stability, SameClusterSingleAlwaysCostsSixPackets) {
-  const auto cases = scenario::fig5Cases();
-  const scenario::Fig5Result result = runFig5Case(cases[2], GetParam());
-  EXPECT_EQ(result.detectionPackets, 6u);
-  EXPECT_EQ(result.verdict, core::Verdict::kSingleBlackHole);
+  const campaign::TrialRecord record = runPlacement(2);
+  EXPECT_EQ(record.detectionPackets, 6u);
+  EXPECT_EQ(record.verdict, core::toString(core::Verdict::kSingleBlackHole));
 }
 
 TEST_P(Fig5Stability, CrossClusterFleeAlwaysCostsNinePackets) {
-  const auto cases = scenario::fig5Cases();
-  const scenario::Fig5Result result = runFig5Case(cases[5], GetParam());
-  EXPECT_EQ(result.detectionPackets, 9u);
+  EXPECT_EQ(runPlacement(5).detectionPackets, 9u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, Fig5Stability,

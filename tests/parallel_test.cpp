@@ -67,32 +67,6 @@ TEST(ResolveJobCountTest, NeverReturnsZero) {
   EXPECT_GE(sim::resolveJobCount(0), 1u);
 }
 
-TEST(ConsumeJobsFlagTest, StripsSeparateAndEqualsFormsLastWins) {
-  std::vector<std::string> storage = {"bench",   "10",        "--jobs", "2",
-                                      "extra",   "--jobs=6"};
-  std::vector<char*> argv;
-  argv.reserve(storage.size());
-  for (std::string& s : storage) argv.push_back(s.data());
-  int argc = static_cast<int>(argv.size());
-
-  const unsigned jobs = sim::consumeJobsFlag(argc, argv.data());
-
-  EXPECT_EQ(jobs, 6u);
-  ASSERT_EQ(argc, 3);  // positional arguments survive untouched, in order
-  EXPECT_STREQ(argv[0], "bench");
-  EXPECT_STREQ(argv[1], "10");
-  EXPECT_STREQ(argv[2], "extra");
-}
-
-TEST(ConsumeJobsFlagTest, ReturnsZeroWhenAbsent) {
-  std::vector<std::string> storage = {"bench", "40"};
-  std::vector<char*> argv;
-  for (std::string& s : storage) argv.push_back(s.data());
-  int argc = static_cast<int>(argv.size());
-  EXPECT_EQ(sim::consumeJobsFlag(argc, argv.data()), 0u);
-  EXPECT_EQ(argc, 2);
-}
-
 TEST(ParallelRunnerTest, MapReturnsResultsInSubmissionOrder) {
   const sim::ParallelRunner runner{4};
   const std::vector<std::size_t> results =

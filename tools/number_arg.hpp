@@ -1,5 +1,5 @@
-// Strict numeric command-line values, shared by the tools: a typo such as
-// `--epochs abc` must be a usage error, never a silent 0.
+// Strict numeric command-line values, shared by the tools and the benches:
+// a typo such as `--epochs abc` must be a usage error, never a silent 0.
 #pragma once
 
 #include <charconv>
@@ -18,9 +18,10 @@ inline constexpr std::uint64_t kMaxJobs = 1024;
 /// blank or trailing character) in [min, max]. Anything else exits the
 /// process with `usage(problem)`, which prints the problem and the tool's
 /// usage text and returns the exit status (2).
-[[nodiscard]] inline std::uint64_t numberArg(
-    const std::string& flag, std::string_view text, std::uint64_t min,
-    std::uint64_t max, int (*usage)(const std::string& problem)) {
+template <typename Usage>
+[[nodiscard]] std::uint64_t numberArg(const std::string& flag,
+                                      std::string_view text, std::uint64_t min,
+                                      std::uint64_t max, const Usage& usage) {
   std::uint64_t value = 0;
   const char* end = text.data() + text.size();
   const auto [stop, error] = std::from_chars(text.data(), end, value);
