@@ -46,6 +46,7 @@ void WirelessMedium::reserve(std::size_t nodes, std::size_t addresses) {
 
 void WirelessMedium::attach(common::NodeId node, Radio& radio) {
   BDP_ASSERT_MSG(!radios_.contains(node), "node attached twice");
+  BDP_ASSERT_MSG(node.value() != kSendFailureTag, "node id reserved");
   radios_[node] = &radio;
   const auto pos = std::lower_bound(
       receivers_.begin(), receivers_.end(), node,
@@ -130,13 +131,6 @@ void WirelessMedium::collectCandidates(const mobility::Position& origin) {
   std::sort(gridCandidates_.begin(), gridCandidates_.end());
 }
 
-void WirelessMedium::scheduleSendFailure(common::NodeId sender,
-                                         const Frame& frame) {
-  simulator_.schedule(config_.perHopLatency, [this, sender, frame] {
-    if (Radio** radio = radios_.find(sender)) (*radio)->onSendFailed(frame);
-  });
-}
-
 void WirelessMedium::send(common::NodeId sender, Frame frame) {
   Radio* const* senderRadio = radios_.find(sender);
   BDP_ASSERT_MSG(senderRadio != nullptr, "send from unattached node");
@@ -147,6 +141,7 @@ void WirelessMedium::send(common::NodeId sender, Frame frame) {
   traceFrame(simulator_, obs::EventKind::kFrameTx, 0, sender, frame);
 
   const mobility::Position origin = (*senderRadio)->radioPosition();
+  fanOut_.clear();
 
   // MAC ACK model for unicast frames: unreachable addressee → sender gets
   // a transmission-failure callback after the (ACK-timeout-like) latency.
@@ -171,7 +166,7 @@ void WirelessMedium::send(common::NodeId sender, Frame frame) {
       traceFrame(simulator_, obs::EventKind::kFrameSendFailed,
                  static_cast<std::uint8_t>(obs::DropCause::kUnreachable),
                  sender, frame);
-      scheduleSendFailure(sender, frame);
+      fanOut_.push_back({config_.perHopLatency, kSendFailureTag});
     }
   }
 
@@ -196,7 +191,7 @@ void WirelessMedium::send(common::NodeId sender, Frame frame) {
           ++stats_.sendFailures;
           traceFrame(simulator_, obs::EventKind::kFrameSendFailed,
                      static_cast<std::uint8_t>(cause), sender, frame);
-          scheduleSendFailure(sender, frame);
+          fanOut_.push_back({config_.perHopLatency, kSendFailureTag});
         }
         return;
       }
@@ -214,15 +209,7 @@ void WirelessMedium::send(common::NodeId sender, Frame frame) {
       latency = latency + sim::Duration::microseconds(
                               rng_.uniformInt(0, config_.maxJitter.us()));
     }
-    // Deliver only if the receiver is still attached at delivery time
-    // (a vehicle may leave the highway while the frame is in flight).
-    simulator_.schedule(latency, [this, nodeId, frame] {
-      Radio** live = radios_.find(nodeId);
-      if (live == nullptr) return;
-      ++stats_.framesDelivered;
-      traceFrame(simulator_, obs::EventKind::kFrameRx, 0, nodeId, frame);
-      (*live)->onFrame(frame);
-    });
+    fanOut_.push_back({latency, nodeId.value()});
   };
 
   if (config_.spatialGrid) {
@@ -234,6 +221,25 @@ void WirelessMedium::send(common::NodeId sender, Frame frame) {
   } else {
     for (const auto& [nodeId, radio] : receivers_) visit(nodeId, radio);
   }
+
+  // One fan-out holds the frame for every reception and send failure.
+  // Deliver only if the receiver is still attached at delivery time (a
+  // vehicle may leave the highway while the frame is in flight).
+  auto deliver = [this, sender, frame = std::move(frame)](std::uint32_t tag) {
+    if (tag == kSendFailureTag) {
+      if (Radio** radio = radios_.find(sender)) (*radio)->onSendFailed(frame);
+      return;
+    }
+    const common::NodeId nodeId{tag};
+    Radio** live = radios_.find(nodeId);
+    if (live == nullptr) return;
+    ++stats_.framesDelivered;
+    traceFrame(simulator_, obs::EventKind::kFrameRx, 0, nodeId, frame);
+    (*live)->onFrame(frame);
+  };
+  static_assert(sizeof(deliver) <= sim::FanOutFn::kInlineBytes,
+                "the fan-out context must stay inline");
+  simulator_.scheduleFanOut(fanOut_, std::move(deliver));
 }
 
 bool WirelessMedium::inRange(common::NodeId a, common::NodeId b) const {

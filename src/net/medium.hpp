@@ -15,7 +15,9 @@
 // linear scan visit in-range receivers in strictly ascending node-id order
 // and draw from the RNG for exactly the same receiver sequence, so a run
 // replays byte-identically whichever path is active (pinned by
-// medium_grid_test).
+// medium_grid_test). A transmission's receptions and MAC send failures
+// reach the simulator as one fan-out that holds the frame once
+// (Simulator::scheduleFanOut).
 #pragma once
 
 #include <cstdint>
@@ -185,10 +187,11 @@ class WirelessMedium {
   /// therefore ascending node-id) for the 5×5-cell neighborhood of `origin`.
   void collectCandidates(const mobility::Position& origin);
 
-  void scheduleSendFailure(common::NodeId sender, const Frame& frame);
-
   /// ownerOf_ slot value meaning "this address is not currently bound".
   static constexpr std::uint32_t kUnbound = 0xffff'ffffu;
+  /// Fan-out tag of a MAC send failure; every other tag is the NodeId value
+  /// of a receiver.
+  static constexpr std::uint32_t kSendFailureTag = 0xffff'ffffu;
 
   sim::Simulator& simulator_;
   sim::Rng rng_;
@@ -213,6 +216,9 @@ class WirelessMedium {
   /// ascending within each cell by construction.
   std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> cells_;
   std::vector<std::uint32_t> gridCandidates_;  ///< per-send scratch
+  /// Per-send scratch: the transmission's receptions and send failures in
+  /// scheduling order, handed to Simulator::scheduleFanOut.
+  std::vector<sim::FanOutItem> fanOut_;
   sim::TimePoint gridBuiltAt_{};
   bool gridValid_{false};
 };

@@ -1,36 +1,40 @@
-// Pooled small-callable event type.
+// Pooled small-callable event types.
 //
-// The simulator's hot timers (frame deliveries, per-hop forwards, beacon
-// ticks) carry captures of a few dozen bytes. std::function heap-allocates
-// anything over its ~16-byte small buffer, which charged one malloc/free
-// pair to every delivered frame. EventFn is a move-only type-erased
-// callable with a 48-byte inline buffer sized for the largest hot capture
-// (the medium's delivery lambda: this + NodeId + Frame); larger or
+// The simulator's hot timers (per-hop forwards, beacon ticks) and the
+// medium's fan-out context carry captures of a few dozen bytes.
+// std::function heap-allocates anything over its ~16-byte small buffer,
+// which charged one malloc/free pair to every delivered frame.
+// BasicEventFn is a move-only type-erased callable with a 48-byte inline
+// buffer sized for the largest hot capture (the medium's fan-out context:
+// this + sender NodeId + Frame, held once per transmission); larger or
 // alignment-exotic callables fall back to the heap, so cold paths lose
-// nothing but speed.
+// nothing but speed. EventFn takes no arguments; FanOutFn takes the tag
+// of the fan-out item it runs for (see Simulator::scheduleFanOut).
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <new>
 #include <type_traits>
 #include <utility>
 
 namespace blackdp::sim {
 
-class EventFn {
+template <typename... Args>
+class BasicEventFn {
  public:
-  /// Sized for the medium delivery capture; every hot-path lambda must fit.
+  /// Sized for the medium's fan-out context; every hot-path lambda must fit.
   static constexpr std::size_t kInlineBytes = 48;
 
-  EventFn() = default;
+  BasicEventFn() = default;
   // NOLINTNEXTLINE(google-explicit-constructor): drop-in for std::function
-  EventFn(std::nullptr_t) {}
+  BasicEventFn(std::nullptr_t) {}
 
   template <typename F>
-    requires(!std::is_same_v<std::remove_cvref_t<F>, EventFn> &&
-             std::is_invocable_r_v<void, std::remove_cvref_t<F>&>)
+    requires(!std::is_same_v<std::remove_cvref_t<F>, BasicEventFn> &&
+             std::is_invocable_r_v<void, std::remove_cvref_t<F>&, Args...>)
   // NOLINTNEXTLINE(google-explicit-constructor): drop-in for std::function
-  EventFn(F&& fn) {
+  BasicEventFn(F&& fn) {
     using Fn = std::remove_cvref_t<F>;
     if constexpr (sizeof(Fn) <= kInlineBytes &&
                   alignof(Fn) <= alignof(std::max_align_t) &&
@@ -43,25 +47,25 @@ class EventFn {
     }
   }
 
-  EventFn(EventFn&& other) noexcept { moveFrom(other); }
-  EventFn& operator=(EventFn&& other) noexcept {
+  BasicEventFn(BasicEventFn&& other) noexcept { moveFrom(other); }
+  BasicEventFn& operator=(BasicEventFn&& other) noexcept {
     if (this != &other) {
       reset();
       moveFrom(other);
     }
     return *this;
   }
-  EventFn(const EventFn&) = delete;
-  EventFn& operator=(const EventFn&) = delete;
-  ~EventFn() { reset(); }
+  BasicEventFn(const BasicEventFn&) = delete;
+  BasicEventFn& operator=(const BasicEventFn&) = delete;
+  ~BasicEventFn() { reset(); }
 
   [[nodiscard]] explicit operator bool() const { return ops_ != nullptr; }
 
-  void operator()() { ops_->invoke(storage_); }
+  void operator()(Args... args) { ops_->invoke(storage_, args...); }
 
  private:
   struct Ops {
-    void (*invoke)(void*);
+    void (*invoke)(void*, Args...);
     /// Move-constructs into `dst` and ends `src`'s lifetime (relocation).
     void (*relocate)(void* dst, void* src);
     void (*destroy)(void*);
@@ -75,7 +79,7 @@ class EventFn {
   template <typename Fn>
   static const Ops* inlineOps() {
     static constexpr Ops ops{
-        [](void* s) { (*inlinePtr<Fn>(s))(); },
+        [](void* s, Args... args) { (*inlinePtr<Fn>(s))(args...); },
         [](void* dst, void* src) {
           Fn* from = inlinePtr<Fn>(src);
           ::new (dst) Fn(std::move(*from));
@@ -88,7 +92,7 @@ class EventFn {
   template <typename Fn>
   static const Ops* heapOps() {
     static constexpr Ops ops{
-        [](void* s) { (**inlinePtr<Fn*>(s))(); },
+        [](void* s, Args... args) { (**inlinePtr<Fn*>(s))(args...); },
         [](void* dst, void* src) {
           ::new (dst) Fn*(*inlinePtr<Fn*>(src));
         },
@@ -96,7 +100,7 @@ class EventFn {
     return &ops;
   }
 
-  void moveFrom(EventFn& other) {
+  void moveFrom(BasicEventFn& other) {
     ops_ = other.ops_;
     if (ops_ != nullptr) {
       ops_->relocate(storage_, other.storage_);
@@ -114,5 +118,8 @@ class EventFn {
   alignas(std::max_align_t) unsigned char storage_[kInlineBytes]{};
   const Ops* ops_{nullptr};
 };
+
+using EventFn = BasicEventFn<>;
+using FanOutFn = BasicEventFn<std::uint32_t>;
 
 }  // namespace blackdp::sim

@@ -1,6 +1,7 @@
 #include "sim/simulator.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -25,13 +26,54 @@ EventHandle Simulator::scheduleAt(TimePoint when, Callback fn) {
   if (!freeSlots_.empty()) {
     slot = freeSlots_.back();
     freeSlots_.pop_back();
-    slots_[slot] = std::move(fn);
   } else {
     slot = static_cast<std::uint32_t>(slots_.size());
-    slots_.push_back(std::move(fn));
+    slots_.emplace_back();
   }
-  heapPush(HeapEntry{when, seq, slot});
-  return EventHandle{seq};
+  slots_[slot].fn = std::move(fn);
+  slots_[slot].seq = seq;
+  heapPush(HeapEntry{when, seq, slot, false});
+  ++pending_;
+  return EventHandle{slot, seq};
+}
+
+void Simulator::scheduleFanOut(std::span<const FanOutItem> items,
+                               FanOutFn fn) {
+  if (items.empty()) return;
+  BDP_ASSERT_MSG(static_cast<bool>(fn), "scheduled a null fan-out callback");
+  std::uint32_t index = 0;
+  if (!freeFanOuts_.empty()) {
+    index = freeFanOuts_.back();
+    freeFanOuts_.pop_back();
+  } else {
+    index = static_cast<std::uint32_t>(fanOuts_.size());
+    fanOuts_.push_back(std::make_unique<FanOut>());
+    fanOuts_.back()->items.reserve(fanOutCapacity_);
+  }
+  if (items.size() > fanOutCapacity_) {
+    // Powers of two: a world's fan-outs widen in a few steps, not one per
+    // new size, and every step reserves all records.
+    fanOutCapacity_ = std::bit_ceil(items.size());
+    for (const auto& record : fanOuts_) record->items.reserve(fanOutCapacity_);
+  }
+  FanOut& fanOut = *fanOuts_[index];
+  fanOut.fn = std::move(fn);
+  fanOut.next = 0;
+  fanOut.firstSeq = nextSeq_;
+  nextSeq_ += items.size();
+  for (std::uint32_t i = 0; i < items.size(); ++i) {
+    const Duration delay = std::max(items[i].delay, Duration{});
+    fanOut.items.push_back(FanOut::Item{now_ + delay, i, items[i].tag});
+  }
+  // (when, order) orders the items as (when, seq) does.
+  std::sort(fanOut.items.begin(), fanOut.items.end(),
+            [](const FanOut::Item& a, const FanOut::Item& b) {
+              if (a.when != b.when) return a.when < b.when;
+              return a.order < b.order;
+            });
+  pending_ += items.size();
+  const FanOut::Item& first = fanOut.items.front();
+  heapPush(HeapEntry{first.when, fanOut.firstSeq + first.order, index, true});
 }
 
 void Simulator::heapPush(HeapEntry entry) {
@@ -39,15 +81,14 @@ void Simulator::heapPush(HeapEntry entry) {
   std::size_t i = heap_.size() - 1;
   while (i > 0) {
     const std::size_t parent = (i - 1) / kArity;
-    if (!earlier(heap_[i], heap_[parent])) break;
-    std::swap(heap_[i], heap_[parent]);
+    if (!earlier(entry, heap_[parent])) break;
+    heap_[i] = heap_[parent];
     i = parent;
   }
+  heap_[i] = entry;
 }
 
-void Simulator::heapPopRoot() {
-  if (heap_.size() > 1) heap_.front() = heap_.back();
-  heap_.pop_back();
+void Simulator::heapReplaceRoot(HeapEntry entry) {
   const std::size_t n = heap_.size();
   std::size_t i = 0;
   while (true) {
@@ -58,30 +99,37 @@ void Simulator::heapPopRoot() {
     for (std::size_t c = first + 1; c < last; ++c) {
       if (earlier(heap_[c], heap_[best])) best = c;
     }
-    if (!earlier(heap_[best], heap_[i])) break;
-    std::swap(heap_[i], heap_[best]);
+    if (!earlier(heap_[best], entry)) break;
+    heap_[i] = heap_[best];
     i = best;
   }
+  heap_[i] = entry;
+}
+
+void Simulator::heapPopRoot() {
+  const HeapEntry last = heap_.back();
+  heap_.pop_back();
+  if (!heap_.empty()) heapReplaceRoot(last);
 }
 
 void Simulator::freeSlot(std::uint32_t slot) {
-  slots_[slot] = Callback{};
+  slots_[slot].fn = Callback{};
+  slots_[slot].seq = 0;
   freeSlots_.push_back(slot);
 }
 
 void Simulator::cancel(EventHandle handle) {
-  if (!handle.valid()) return;
-  if (std::find(cancelled_.begin(), cancelled_.end(), handle.seq_) ==
-      cancelled_.end()) {
-    cancelled_.push_back(handle.seq_);
-  }
+  if (!handle.valid() || handle.slot_ >= slots_.size()) return;
+  // The heap entry stays as a tombstone until it reaches the head.
+  Slot& slot = slots_[handle.slot_];
+  if (slot.seq == handle.seq_) slot.seq = 0;
 }
 
 std::size_t Simulator::run(TimePoint until) {
   if (auto* tr = obs::Trace::active()) {
     tr->record({now_.us(), obs::EventKind::kSimRun,
                 static_cast<std::uint8_t>(obs::SimRunOp::kRunBegin), 0, 0, 0,
-                0, 0, heap_.size()});
+                0, 0, pendingEvents()});
   }
   std::size_t ran = 0;
   while (!heap_.empty()) {
@@ -100,40 +148,63 @@ void Simulator::fastForward(TimePoint to) {
   if (to <= now_) return;
   // Peek past tombstones: jumping over a live pending event would reorder
   // causality (the event would then run "in the past").
-  while (!heap_.empty()) {
-    const auto it =
-        std::find(cancelled_.begin(), cancelled_.end(), heap_.front().seq);
-    if (it == cancelled_.end()) break;
-    *it = cancelled_.back();
-    cancelled_.pop_back();
+  while (!heap_.empty() && isTombstone(heap_.front())) {
     freeSlot(heap_.front().slot);
     heapPopRoot();
+    --pending_;
   }
   BDP_ASSERT_MSG(heap_.empty() || heap_.front().when >= to,
                  "fastForward would skip a pending event");
   now_ = to;
 }
 
+void Simulator::runFanOutItem(const HeapEntry& top) {
+  FanOut& fanOut = *fanOuts_[top.slot];
+  const std::uint32_t tag = fanOut.items[fanOut.next].tag;
+  ++fanOut.next;
+  const bool last = fanOut.next == fanOut.items.size();
+  if (last) {
+    heapPopRoot();
+  } else {
+    // The fan-out's next item takes over its heap entry: one sift-down
+    // instead of a pop and a push.
+    const FanOut::Item& following = fanOut.items[fanOut.next];
+    heapReplaceRoot(HeapEntry{following.when, fanOut.firstSeq + following.order,
+                              top.slot, true});
+  }
+  --pending_;
+  BDP_ASSERT_MSG(top.when >= now_, "event queue went backwards in time");
+  now_ = top.when;
+  ++executed_;
+  fanOut.fn(tag);
+  if (last) {
+    fanOut.fn = FanOutFn{};
+    fanOut.items.clear();
+    freeFanOuts_.push_back(top.slot);
+  }
+}
+
 bool Simulator::step() {
   while (!heap_.empty()) {
     const HeapEntry top = heap_.front();
+    if (top.fanOut) {
+      runFanOutItem(top);
+      return true;
+    }
     heapPopRoot();
-    if (!cancelled_.empty()) {
-      const auto it = std::find(cancelled_.begin(), cancelled_.end(), top.seq);
-      if (it != cancelled_.end()) {
-        *it = cancelled_.back();
-        cancelled_.pop_back();
-        freeSlot(top.slot);
-        continue;  // tombstone
-      }
+    --pending_;
+    if (isTombstone(top)) {
+      freeSlot(top.slot);
+      continue;
     }
     BDP_ASSERT_MSG(top.when >= now_, "event queue went backwards in time");
     now_ = top.when;
     ++executed_;
     // Move the callable out and recycle its slot before invoking: the event
-    // may schedule again, and the freed slot is the one it should reuse.
-    Callback fn = std::move(slots_[top.slot]);
-    freeSlots_.push_back(top.slot);
+    // may schedule again, and the freed slot is the one it should reuse. A
+    // cancel of this event from inside its own callback is then a no-op.
+    Callback fn = std::move(slots_[top.slot].fn);
+    freeSlot(top.slot);
     fn();
     return true;
   }

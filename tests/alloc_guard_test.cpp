@@ -3,16 +3,18 @@
 // Links common/alloc_hook (counting operator new/delete) and asserts that a
 // steady-state Medium::send → deliver → AODV-forward cycle performs zero
 // heap allocations once the pools are warm: payloads come from the arena,
-// simulator slots and heap entries recycle, and the dense-id tables stop
-// rehashing. A negative control verifies the hook actually counts, so a
-// silently-unlinked hook cannot fake a pass.
+// simulator slots, fan-out records and heap entries recycle, and the
+// dense-id tables stop rehashing. A negative control verifies the hook
+// actually counts, so a silently-unlinked hook cannot fake a pass.
 //
 // Under ASan/UBSan the sanitizer runtime owns the allocator and adds its
 // own bookkeeping allocations, so the zero-delta assertion is skipped there
 // (the cycle still runs; the negative control still must count).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <string_view>
 #include <vector>
 
 #include "aodv/agent.hpp"
@@ -133,6 +135,80 @@ TEST(AllocGuardTest, SteadyStateForwardingCycleIsAllocationFree) {
   EXPECT_EQ(after.allocations, before.allocations)
       << (after.allocations - before.allocations) << " heap allocations in "
       << kMeasuredCycles << " steady-state send->deliver->forward cycles";
+  EXPECT_EQ(after.deallocations, before.deallocations);
+}
+
+/// Counts receptions without storing anything.
+class CountingRadio final : public net::Radio {
+ public:
+  explicit CountingRadio(mobility::Position where) : where_{where} {}
+  [[nodiscard]] mobility::Position radioPosition() const override {
+    return where_;
+  }
+  void onFrame(const net::Frame& /*frame*/) override { ++frames; }
+
+  std::uint64_t frames{0};
+
+ private:
+  mobility::Position where_;
+};
+
+class Probe final : public net::Payload {
+ public:
+  [[nodiscard]] std::string_view typeName() const override { return "probe"; }
+};
+
+// Fan-out records recycle in any order, so whichever record a transmission
+// draws must already fit the largest fan-out seen. Warm-up reaches the peak
+// number of frames in flight with small fan-outs and sends the largest
+// fan-out once; the measured span then has every frame in flight at that
+// largest size.
+TEST(AllocGuardTest, RecycledFanOutsNeverGrowAfterWarmup) {
+  ASSERT_TRUE(common::allocHookActive());
+
+  constexpr std::uint32_t kWide = 64;      // receivers around the wide sender
+  constexpr int kInFlight = 24;            // frames in flight at the peak
+  constexpr int kMeasuredRounds = 16;
+  sim::Simulator simulator;
+  net::WirelessMedium medium{simulator, sim::Rng{11}};
+  std::vector<std::unique_ptr<CountingRadio>> radios;
+  const auto place = [&](std::uint32_t id, mobility::Position where) {
+    radios.push_back(std::make_unique<CountingRadio>(where));
+    medium.attach(common::NodeId{id}, *radios.back());
+  };
+  // Node 1 and its kWide neighbours; node 100 and one neighbour, 50 km off.
+  for (std::uint32_t id = 1; id <= kWide + 1; ++id) {
+    place(id, {10.0 * id, 0.0});
+  }
+  place(100, {50'000.0, 0.0});
+  place(101, {50'010.0, 0.0});
+
+  const auto burst = [&](std::uint32_t sender, int frames) {
+    for (int i = 0; i < frames; ++i) {
+      medium.send(common::NodeId{sender},
+                  net::Frame{common::Address{sender}, common::kBroadcastAddress,
+                             net::makePayload<Probe>()});
+    }
+    simulator.run();
+  };
+  for (int round = 0; round < 4; ++round) burst(100, kInFlight);
+  burst(1, 1);
+
+  const std::uint64_t heardBefore = radios[1]->frames;
+  const common::AllocCounters before = common::threadAllocCounters();
+  for (int round = 0; round < kMeasuredRounds; ++round) burst(1, kInFlight);
+  const common::AllocCounters after = common::threadAllocCounters();
+
+  EXPECT_EQ(radios[1]->frames,
+            heardBefore + static_cast<std::uint64_t>(kMeasuredRounds) *
+                              kInFlight);
+  if (kSanitized) {
+    GTEST_SKIP() << "sanitizer runtime owns the allocator; zero-delta "
+                    "assertion is only meaningful in the plain build";
+  }
+  EXPECT_EQ(after.allocations, before.allocations)
+      << (after.allocations - before.allocations) << " heap allocations in "
+      << kMeasuredRounds << " rounds of " << kInFlight << " frames in flight";
   EXPECT_EQ(after.deallocations, before.deallocations);
 }
 

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "common/assert.hpp"
 #include "net/backbone.hpp"
 #include "net/medium.hpp"
@@ -256,6 +260,113 @@ TEST(MediumLossTest, PartialLossIsApproximatelyCalibrated) {
   simulator.run();
   EXPECT_GT(b.frames.size(), 600u);
   EXPECT_LT(b.frames.size(), 800u);
+}
+
+// --------------------------------------------------- reception order (pin)
+
+/// Appends " <now us>:<node><R|F>" to a shared log for every reception (R)
+/// and every MAC send-failure (F) callback, in the order they run.
+class LoggingRadio final : public Radio {
+ public:
+  LoggingRadio(const sim::Simulator& simulator, std::uint32_t id,
+               mobility::Position where, std::string& log)
+      : simulator_{simulator}, id_{id}, where_{where}, log_{log} {}
+  [[nodiscard]] mobility::Position radioPosition() const override {
+    return where_;
+  }
+  void onFrame(const Frame& /*frame*/) override { append('R'); }
+  void onSendFailed(const Frame& /*frame*/) override { append('F'); }
+
+ private:
+  void append(char what) {
+    log_ += ' ' + std::to_string(simulator_.now().us()) + ':' +
+            std::to_string(id_) + what;
+  }
+
+  const sim::Simulator& simulator_;
+  std::uint32_t id_;
+  mobility::Position where_;
+  std::string& log_;
+};
+
+/// Jams every delivery to a receiver whose id is 3 mod 7, so a unicast to
+/// one of them fails the MAC ACK at that receiver's place in id order.
+class JamSomeReceivers final : public MediumFaultHook {
+ public:
+  obs::DropCause dropDelivery(common::NodeId /*sender*/,
+                              common::NodeId receiver,
+                              const mobility::Position& /*senderPos*/,
+                              const mobility::Position& /*receiverPos*/)
+      override {
+    return receiver.value() % 7 == 3 ? obs::DropCause::kJam
+                                     : obs::DropCause::kNone;
+  }
+};
+
+// The exact callback sequence of a jittered, lossy, fault-hooked medium:
+// equal-time ties, interleaved broadcasts, a jammed unicast addressee, two
+// unreachable unicasts and a receiver detached with a frame in flight. The
+// expected log was recorded from the per-receiver scheduling the medium
+// used before fan-out delivery, and must never change.
+TEST(MediumOrderTest, CallbackSequenceIsPinned) {
+  sim::Simulator simulator;
+  MediumConfig config;
+  // 500 us per hop plus up to 8 us of jitter: many receptions tie with each
+  // other and with the send failures, which carry no jitter.
+  config.maxJitter = sim::Duration::microseconds(8);
+  config.lossProbability = 0.25;
+  WirelessMedium medium{simulator, sim::Rng{20170605}, config};
+  JamSomeReceivers jam;
+  medium.setFaultHook(&jam);
+
+  std::string log;
+  std::vector<std::unique_ptr<LoggingRadio>> radios;
+  for (std::uint32_t id = 1; id <= 30; ++id) {
+    radios.push_back(std::make_unique<LoggingRadio>(
+        simulator, id,
+        mobility::Position{70.0 * (id - 1), 40.0 * (id % 3)}, log));
+    medium.attach(common::NodeId{id}, *radios.back());
+    medium.bindAddress(common::Address{1000 + id}, common::NodeId{id});
+  }
+  const auto ping = [&](std::uint32_t from, common::Address to) {
+    medium.send(common::NodeId{from},
+                Frame{common::Address{1000 + from}, to, makePayload<Ping>()});
+  };
+
+  // Two broadcasts in one instant.
+  ping(1, common::kBroadcastAddress);
+  ping(15, common::kBroadcastAddress);
+  simulator.schedule(sim::Duration::microseconds(50), [&] {
+    ping(5, common::Address{1012});  // reachable addressee
+    ping(8, common::Address{1010});  // addressee 10 is jammed
+    ping(20, common::Address{999});  // unbound address
+    ping(1, common::Address{1030});  // owner 2030 m away
+  });
+  // Node 18 leaves while this broadcast is in flight.
+  simulator.schedule(sim::Duration::milliseconds(2), [&] {
+    ping(16, common::kBroadcastAddress);
+  });
+  simulator.schedule(
+      sim::Duration::milliseconds(2) + sim::Duration::microseconds(100),
+      [&] { medium.detach(common::NodeId{18}); });
+  simulator.run();
+
+  const std::string expected =
+      " 500:8R 500:19R 501:5R 501:8R 501:2R 501:4R 501:7R 501:21R"
+      " 501:22R 502:2R 502:11R 502:26R 503:4R 503:25R 504:6R 504:7R"
+      " 504:9R 504:15R 505:5R 505:13R 505:16R 505:29R 506:9R 506:11R"
+      " 506:12R 506:23R 507:27R 508:28R 550:8F 550:15R 550:20F"
+      " 550:26R 550:28R 550:1F 551:11R 551:12R 551:13R 551:18R"
+      " 551:13R 551:30R 551:14R 552:15R 552:2R 552:4R 552:12R 552:19R"
+      " 552:8R 553:7R 553:8R 553:5R 553:18R 553:6R 553:4R 553:6R"
+      " 554:14R 554:21R 554:7R 555:1R 555:16R 555:9R 555:22R 555:7R"
+      " 555:12R 555:13R 555:15R 556:4R 556:19R 556:7R 556:16R 556:14R"
+      " 556:16R 556:19R 556:25R 556:27R 557:2R 557:22R 557:29R 558:9R"
+      " 558:6R 558:8R 558:15R 558:12R 2501:22R 2501:29R 2502:12R"
+      " 2502:20R 2502:28R 2503:6R 2503:19R 2504:11R 2504:27R 2507:2R"
+      " 2507:30R 2508:7R 2508:15R 2508:26R";
+  EXPECT_EQ(log, expected);
+  EXPECT_EQ(medium.stats().sendFailures, 3u);
 }
 
 // ---------------------------------------------------------------- backbone

@@ -125,12 +125,18 @@ TEST(SimulatorTest, CancelPreventsExecution) {
 
 TEST(SimulatorTest, CancelAfterExecutionIsNoOp) {
   Simulator simulator;
-  bool ran = false;
+  int ran = 0;
   const EventHandle handle =
-      simulator.schedule(Duration::microseconds(5), [&] { ran = true; });
+      simulator.schedule(Duration::microseconds(5), [&] { ++ran; });
   simulator.run();
-  EXPECT_TRUE(ran);
+  EXPECT_EQ(ran, 1);
   EXPECT_NO_THROW(simulator.cancel(handle));
+  EXPECT_EQ(simulator.pendingEvents(), 0u);
+  simulator.schedule(Duration::microseconds(1), [&] { ++ran; });
+  simulator.schedule(Duration::microseconds(2), [&] { ++ran; });
+  EXPECT_EQ(simulator.pendingEvents(), 2u);
+  EXPECT_EQ(simulator.run(), 2u);
+  EXPECT_EQ(ran, 3);
 }
 
 TEST(SimulatorTest, CancelDefaultHandleIsNoOp) {
@@ -202,6 +208,196 @@ TEST_P(SimulatorOrderProperty, ExecutionOrderIsSortedByTime) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SimulatorOrderProperty,
+                         ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
+
+// ------------------------------------------------------------- cancellation
+
+TEST(SimulatorCancelTest, StaleCancelSparesTheEventReusingItsSlot) {
+  Simulator simulator;
+  bool laterRan = false;
+  EventHandle self;
+  // A timeout that cancels its own handle after arming a successor (the
+  // verifier's response timer does this): the successor takes the slot the
+  // running event just freed, and the cancel must not hit it.
+  self = simulator.schedule(Duration::microseconds(1), [&] {
+    simulator.schedule(Duration::microseconds(1), [&] { laterRan = true; });
+    simulator.cancel(self);
+  });
+  simulator.run();
+  EXPECT_TRUE(laterRan);
+
+  // The same from outside a callback.
+  laterRan = false;
+  const EventHandle done = simulator.schedule(Duration{}, [] {});
+  simulator.run();
+  simulator.schedule(Duration::microseconds(5), [&] { laterRan = true; });
+  simulator.cancel(done);
+  EXPECT_EQ(simulator.pendingEvents(), 1u);
+  simulator.run();
+  EXPECT_TRUE(laterRan);
+}
+
+TEST(SimulatorCancelTest, TombstonesCountAsPendingUntilPopped) {
+  Simulator simulator;
+  const EventHandle a = simulator.schedule(Duration::microseconds(1), [] {});
+  simulator.schedule(Duration::microseconds(2), [] {});
+  simulator.cancel(a);
+  simulator.cancel(a);  // twice is once
+  EXPECT_EQ(simulator.pendingEvents(), 2u);
+  EXPECT_TRUE(simulator.step());  // skips the tombstone, runs the second
+  EXPECT_EQ(simulator.pendingEvents(), 0u);
+  EXPECT_EQ(simulator.executedEvents(), 1u);
+}
+
+// ------------------------------------------------------------------ fan-out
+
+TEST(SimulatorFanOutTest, EmptyFanOutSchedulesNothing) {
+  Simulator simulator;
+  bool ran = false;
+  simulator.scheduleFanOut({}, [&](std::uint32_t) { ran = true; });
+  EXPECT_EQ(simulator.pendingEvents(), 0u);
+  EXPECT_FALSE(simulator.step());
+  EXPECT_EQ(simulator.run(), 0u);
+  EXPECT_FALSE(ran);
+}
+
+TEST(SimulatorFanOutTest, RunUntilStopsInsideAFanOut) {
+  Simulator simulator;
+  std::vector<std::uint32_t> order;
+  const std::vector<FanOutItem> items{{Duration::microseconds(30), 0},
+                                      {Duration::microseconds(10), 1},
+                                      {Duration::microseconds(20), 2},
+                                      {Duration::microseconds(10), 3}};
+  simulator.scheduleFanOut(items,
+                           [&](std::uint32_t tag) { order.push_back(tag); });
+  EXPECT_EQ(simulator.pendingEvents(), 4u);
+  EXPECT_EQ(simulator.run(TimePoint::fromUs(20)), 3u);
+  EXPECT_EQ(order, (std::vector<std::uint32_t>{1, 3, 2}));
+  EXPECT_EQ(simulator.now().us(), 20);
+  EXPECT_EQ(simulator.pendingEvents(), 1u);
+  EXPECT_EQ(simulator.executedEvents(), 3u);
+  simulator.run();
+  EXPECT_EQ(order, (std::vector<std::uint32_t>{1, 3, 2, 0}));
+}
+
+/// A seeded random program over one simulator. With `fanOut` it schedules
+/// each batch of items through scheduleFanOut; without, through one plain
+/// schedule() per item in index order. Everything else is identical:
+/// interleaved plain events, cancels (some stale), equal-time ties, negative
+/// delays, and batches scheduled from inside batch callbacks.
+class RandomProgram {
+ public:
+  struct Run {
+    std::uint32_t id;
+    std::int64_t atUs;
+    bool operator==(const Run&) const = default;
+  };
+
+  RandomProgram(std::uint64_t seed, bool fanOut) : rng_{seed}, fanOut_{fanOut} {
+    for (int i = 0; i < 8; ++i) act();
+  }
+
+  Simulator& simulator() { return simulator_; }
+  [[nodiscard]] const std::vector<Run>& runs() const { return runs_; }
+
+ private:
+  void act() {
+    const auto choice = rng_.uniformInt(0, 9);
+    if (choice < 4) {
+      schedulePlain();
+    } else if (choice < 8) {
+      scheduleBatch();
+    } else if (!handles_.empty()) {
+      simulator_.cancel(handles_[rng_.index(handles_.size())]);
+    }
+  }
+
+  Duration delay() { return Duration::microseconds(rng_.uniformInt(-2, 12)); }
+
+  void schedulePlain() {
+    const std::uint32_t id = nextId_++;
+    handles_.push_back(simulator_.schedule(delay(), [this, id] { onRun(id); }));
+  }
+
+  void scheduleBatch() {
+    items_.clear();
+    const auto k = rng_.uniformInt(0, 9);
+    for (std::int64_t i = 0; i < k; ++i) items_.push_back({delay(), nextId_++});
+    if (fanOut_) {
+      simulator_.scheduleFanOut(items_,
+                                [this](std::uint32_t id) { onRun(id); });
+      return;
+    }
+    for (const FanOutItem& item : items_) {
+      simulator_.schedule(item.delay, [this, id = item.tag] { onRun(id); });
+    }
+  }
+
+  void onRun(std::uint32_t id) {
+    runs_.push_back({id, simulator_.now().us()});
+    if (budget_ == 0) return;
+    --budget_;
+    act();
+    if (rng_.bernoulli(0.5)) act();
+  }
+
+  Rng rng_;
+  bool fanOut_;
+  Simulator simulator_;
+  std::uint32_t nextId_{0};
+  int budget_{400};
+  std::vector<EventHandle> handles_;
+  std::vector<FanOutItem> items_;
+  std::vector<Run> runs_;
+};
+
+class FanOutEquivalenceProperty
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(FanOutEquivalenceProperty, StepByStepMatchesPlainScheduling) {
+  RandomProgram fanned{GetParam(), true};
+  RandomProgram plain{GetParam(), false};
+  std::size_t steps = 0;
+  while (true) {
+    const bool a = fanned.simulator().step();
+    const bool b = plain.simulator().step();
+    ASSERT_EQ(a, b) << "step " << steps;
+    if (!a) break;
+    ++steps;
+    ASSERT_EQ(fanned.simulator().executedEvents(),
+              plain.simulator().executedEvents());
+    ASSERT_EQ(fanned.simulator().pendingEvents(),
+              plain.simulator().pendingEvents())
+        << "step " << steps;
+    ASSERT_EQ(fanned.simulator().now(), plain.simulator().now());
+  }
+  EXPECT_GT(steps, 100u);
+  EXPECT_EQ(fanned.runs(), plain.runs());
+}
+
+TEST_P(FanOutEquivalenceProperty, RunUntilStopsWherePlainSchedulingStops) {
+  RandomProgram fanned{GetParam(), true};
+  RandomProgram plain{GetParam(), false};
+  Rng bounds{GetParam() ^ 0x9e3779b97f4a7c15ull};
+  std::int64_t until = 0;
+  for (int leg = 0; leg < 60; ++leg) {
+    until += bounds.uniformInt(0, 6);
+    const TimePoint bound = TimePoint::fromUs(until);
+    ASSERT_EQ(fanned.simulator().run(bound), plain.simulator().run(bound))
+        << "leg " << leg;
+    ASSERT_EQ(fanned.simulator().now(), plain.simulator().now());
+    ASSERT_EQ(fanned.simulator().executedEvents(),
+              plain.simulator().executedEvents());
+    ASSERT_EQ(fanned.simulator().pendingEvents(),
+              plain.simulator().pendingEvents());
+    ASSERT_EQ(fanned.runs(), plain.runs());
+  }
+  EXPECT_EQ(fanned.simulator().run(), plain.simulator().run());
+  EXPECT_EQ(fanned.runs(), plain.runs());
+  EXPECT_EQ(fanned.simulator().pendingEvents(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FanOutEquivalenceProperty,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
 
 // --------------------------------------------------------------------- rng
