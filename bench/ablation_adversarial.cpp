@@ -23,7 +23,7 @@
 #include "metrics/table.hpp"
 #include "obs/bench_json.hpp"
 #include "scenario/highway_scenario.hpp"
-#include "sim/parallel.hpp"
+#include "sim/thread_pool.hpp"
 
 namespace {
 
@@ -81,11 +81,11 @@ int main(int argc, char** argv) {
   using metrics::Table;
   const obs::BenchTimer timer;
   const bench::TrialArgs args = bench::parseTrialArgs(argc, argv, 10);
-  const sim::ParallelRunner runner{args.jobs};
+  sim::ThreadPool pool{sim::resolveJobCount(args.jobs)};
   const std::uint32_t trials = args.trials;
 
   std::cout << "Ablation G — adversarial robustness (" << trials
-            << " trials per cell, " << runner.jobs() << " jobs)\n\n";
+            << " trials per cell, " << pool.workers() << " jobs)\n\n";
 
   obs::MetricsRegistry registry;
 
@@ -105,7 +105,7 @@ int main(int argc, char** argv) {
        "hardened.selective"},
   };
 
-  const std::vector<TrialResult> gridOutcomes = runner.map<TrialResult>(
+  const std::vector<TrialResult> gridOutcomes = pool.map<TrialResult>(
       cells.size() * trials, [&](std::size_t i) {
         const Cell& cell = cells[i / trials];
         ScenarioConfig config =
@@ -150,7 +150,7 @@ int main(int argc, char** argv) {
       {"flood + black hole", AttackType::kSingle, "single"},
   };
 
-  const std::vector<TrialResult> floodOutcomes = runner.map<TrialResult>(
+  const std::vector<TrialResult> floodOutcomes = pool.map<TrialResult>(
       floodRows.size() * trials, [&](std::size_t i) {
         const FloodRow& row = floodRows[i / trials];
         ScenarioConfig config =
@@ -203,7 +203,7 @@ int main(int argc, char** argv) {
   flood.print(std::cout);
 
   obs::writeBenchJson("ablation_adversarial", registry.snapshot(),
-                      timer.info().recordJobs(runner.jobs()));
+                      timer.info().recordJobs(pool.workers()));
 
   // The defense contract: the selective attacker beats the naive probe but
   // not the hardened campaign; flooding never quarantines an honest vehicle

@@ -13,7 +13,7 @@
 #include "metrics/table.hpp"
 #include "obs/bench_json.hpp"
 #include "scenario/experiments.hpp"
-#include "sim/parallel.hpp"
+#include "sim/thread_pool.hpp"
 
 int main(int argc, char** argv) {
   using namespace blackdp;
@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
 
   const obs::BenchTimer timer;
   const bench::TrialArgs args = bench::parseTrialArgs(argc, argv, 60);
-  const sim::ParallelRunner runner{args.jobs};
+  sim::ThreadPool pool{sim::resolveJobCount(args.jobs)};
   const std::uint32_t trials = args.trials;
   std::cout << "Ablation A — BlackDP vs. source-side baselines (" << trials
             << " trials per treatment, attacker in cluster 2)\n\n";
@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
   // comparison parallelises at the attack-treatment level only (two tasks).
   const std::vector<scenario::BaselineCell> cells =
       scenario::runBaselineComparison(trials, /*seedBase=*/424242,
-                                      common::ClusterId{2}, &runner);
+                                      common::ClusterId{2}, &pool);
 
   obs::MetricsRegistry registry;
   for (const scenario::BaselineCell& cell : cells) {
@@ -41,7 +41,7 @@ int main(int argc, char** argv) {
         .add(cell.trialsWithComparison);
   }
   obs::writeBenchJson("ablation_baselines", registry.snapshot(),
-                      timer.info().recordJobs(runner.jobs()));
+                      timer.info().recordJobs(pool.workers()));
 
   Table table({"Attack", "Detector", "Recall (TPR)", "FP count",
                ">=2 RREPs to compare"});

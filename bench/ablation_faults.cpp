@@ -25,7 +25,7 @@
 #include "obs/bench_json.hpp"
 #include "scenario/highway_scenario.hpp"
 #include "scenario/telemetry.hpp"
-#include "sim/parallel.hpp"
+#include "sim/thread_pool.hpp"
 
 namespace {
 
@@ -99,11 +99,11 @@ int main(int argc, char** argv) {
   using metrics::Table;
   const obs::BenchTimer timer;
   const bench::TrialArgs args = bench::parseTrialArgs(argc, argv, 10);
-  const sim::ParallelRunner runner{args.jobs};
+  sim::ThreadPool pool{sim::resolveJobCount(args.jobs)};
   const std::uint32_t trials = args.trials;
 
   std::cout << "Ablation F — detection under infrastructure faults (" << trials
-            << " trials per cell, " << runner.jobs() << " jobs)\n\n";
+            << " trials per cell, " << pool.workers() << " jobs)\n\n";
 
   // ---- 1. burst-loss intensity sweep --------------------------------------
   struct Intensity {
@@ -125,7 +125,7 @@ int main(int argc, char** argv) {
     TrialResult result;
     obs::Snapshot world;
   };
-  const std::vector<BurstOutcome> burstOutcomes = runner.map<BurstOutcome>(
+  const std::vector<BurstOutcome> burstOutcomes = pool.map<BurstOutcome>(
       intensities.size() * trials, [&](std::size_t i) {
         const Intensity& intensity = intensities[i / trials];
         ScenarioConfig config =
@@ -190,7 +190,7 @@ int main(int argc, char** argv) {
     TrialResult hardened;
   };
   const std::vector<CrashOutcome> crashOutcomes =
-      runner.map<CrashOutcome>(trials, [&](std::size_t t) {
+      pool.map<CrashOutcome>(trials, [&](std::size_t t) {
         const std::uint64_t seed = 7100 + t;
         return CrashOutcome{crashTrial(seed, false), crashTrial(seed, true)};
       });
@@ -224,7 +224,7 @@ int main(int argc, char** argv) {
   // ---- 3. zero-CH local quarantine ----------------------------------------
   // int, not bool: vector<bool> packs bits, which would race across workers.
   const std::vector<int> isolatedTrials =
-      runner.map<int>(trials, [](std::size_t t) {
+      pool.map<int>(trials, [](std::size_t t) {
         ScenarioConfig config = baseConfig(7200 + t);
         config.verifier.localQuarantine = true;
         for (std::uint32_t c = 1; c <= 10; ++c) {
@@ -247,7 +247,7 @@ int main(int argc, char** argv) {
             << Table::percent(quarantined.mean()) << " of trials.\n";
   obs::addRunningStat(registry, "faults.quarantine.isolated", quarantined);
   obs::writeBenchJson("ablation_faults", registry.snapshot(),
-                      timer.info().recordJobs(runner.jobs()));
+                      timer.info().recordJobs(pool.workers()));
 
   const bool ok = detectNone.mean() >= detectHeavy.mean() &&
                   detectNone.mean() > 0.8 &&

@@ -13,15 +13,16 @@
 #include "core/ch_load_model.hpp"
 #include "metrics/table.hpp"
 #include "obs/bench_json.hpp"
-#include "sim/parallel.hpp"
 #include "sim/rng.hpp"
+#include "sim/thread_pool.hpp"
 
 int main(int argc, char** argv) {
   using namespace blackdp;
   using metrics::Table;
 
   const obs::BenchTimer timer;
-  const sim::ParallelRunner runner{bench::parseTrialArgs(argc, argv, 0).jobs};
+  sim::ThreadPool pool{
+      sim::resolveJobCount(bench::parseTrialArgs(argc, argv, 0).jobs)};
 
   // 2 ms per verification → a lone RSU saturates at 500 verifications/s.
   const std::vector<double> arrivalRates{100, 300, 450, 600, 1000, 2000};
@@ -31,7 +32,7 @@ int main(int argc, char** argv) {
   std::cout << "Ablation E — CH authentication queueing (2 ms/verification, "
                "Poisson arrivals,\n"
             << kJobs << " verifications per cell; mean queueing wait in "
-                        "ms; " << runner.jobs() << " jobs)\n\n";
+                        "ms; " << pool.workers() << " jobs)\n\n";
 
   std::vector<std::string> headers{"Arrivals/s"};
   for (const std::uint32_t fog : fogPools) {
@@ -50,7 +51,7 @@ int main(int argc, char** argv) {
 
   // Every (rate × fog pool) cell owns its simulator and RNG — fan the 24
   // cells across the pool and fold the waits back in grid order.
-  const std::vector<double> waits = runner.map<double>(
+  const std::vector<double> waits = pool.map<double>(
       arrivalRates.size() * fogPools.size(), [&](std::size_t i) {
         const double rate = arrivalRates[i / fogPools.size()];
         const std::uint32_t fog = fogPools[i % fogPools.size()];
@@ -99,7 +100,7 @@ int main(int argc, char** argv) {
             << "backlog); three fog nodes bring it to "
             << Table::num(fog3At600, 2) << " ms.\n";
   obs::writeBenchJson("ablation_fog", registry.snapshot(),
-                      timer.info().recordJobs(runner.jobs()));
+                      timer.info().recordJobs(pool.workers()));
 
   const bool ok = aloneAt600 > 50.0 && fog3At600 < 5.0;
   std::cout << (ok ? "\nshape check: PASS (fog offloading moves the "

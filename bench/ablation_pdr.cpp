@@ -19,7 +19,7 @@
 #include "metrics/table.hpp"
 #include "obs/bench_json.hpp"
 #include "scenario/highway_scenario.hpp"
-#include "sim/parallel.hpp"
+#include "sim/thread_pool.hpp"
 
 namespace {
 
@@ -83,12 +83,12 @@ int main(int argc, char** argv) {
   using metrics::Table;
   const obs::BenchTimer timer;
   const bench::TrialArgs args = bench::parseTrialArgs(argc, argv, 15);
-  const sim::ParallelRunner runner{args.jobs};
+  sim::ThreadPool pool{sim::resolveJobCount(args.jobs)};
   const std::uint32_t trials = args.trials;
 
   std::cout << "Ablation C — packet delivery ratio (" << trials
             << " trials x " << kPacketsPerTrial << " packets, "
-            << runner.jobs() << " jobs)\n\n";
+            << pool.workers() << " jobs)\n\n";
 
   // Flatten (trial × 4 treatments); every task owns one world, so the four
   // PDR streams fold back in the same order the serial loop produced.
@@ -99,7 +99,7 @@ int main(int argc, char** argv) {
     double gray{0.0};
   };
   const std::vector<TrialPdr> pdrs =
-      runner.map<TrialPdr>(trials, [](std::size_t i) {
+      pool.map<TrialPdr>(trials, [](std::size_t i) {
         const std::uint64_t seed = 9000 + i;
         return TrialPdr{honestTrial(seed), blackholeNoDefenceTrial(seed),
                         blackholeBlackdpTrial(seed),
@@ -137,7 +137,7 @@ int main(int argc, char** argv) {
       .set(defended.mean() - plain.mean());
   registry.gauge("pdr.grayhole_cost").set(honest.mean() - gray.mean());
   obs::writeBenchJson("ablation_pdr", registry.snapshot(),
-                      timer.info().recordJobs(runner.jobs()));
+                      timer.info().recordJobs(pool.workers()));
 
   std::cout << "\nBlackDP recovers the black hole's damage ("
             << Table::percent(plain.mean()) << " -> "

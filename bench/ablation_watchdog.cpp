@@ -16,7 +16,7 @@
 #include "metrics/table.hpp"
 #include "obs/bench_json.hpp"
 #include "scenario/highway_scenario.hpp"
-#include "sim/parallel.hpp"
+#include "sim/thread_pool.hpp"
 
 namespace {
 
@@ -38,12 +38,12 @@ int main(int argc, char** argv) {
 
   const obs::BenchTimer timer;
   const bench::TrialArgs args = bench::parseTrialArgs(argc, argv, 10);
-  const sim::ParallelRunner runner{args.jobs};
+  sim::ThreadPool pool{sim::resolveJobCount(args.jobs)};
   const std::uint32_t trials = args.trials;
   std::cout << "Ablation D — watchdog vs. the gray hole (" << trials
-            << " trials, " << runner.jobs() << " jobs)\n\n";
+            << " trials, " << pool.workers() << " jobs)\n\n";
 
-  const std::vector<WatchdogTrial> outcomes = runner.map<WatchdogTrial>(
+  const std::vector<WatchdogTrial> outcomes = pool.map<WatchdogTrial>(
       trials, [](std::size_t t) {
     WatchdogTrial outcome;
     scenario::ScenarioConfig config;
@@ -154,7 +154,7 @@ int main(int argc, char** argv) {
   obs::addRunningStat(registry, "watchdog.observers_per_trial",
                       observersPerTrial);
   obs::writeBenchJson("ablation_watchdog", registry.snapshot(),
-                      timer.info().recordJobs(runner.jobs()));
+                      timer.info().recordJobs(pool.workers()));
 
   std::cout << "\nwatchdogs catch what BlackDP structurally cannot; their "
                "noise is why the paper\nroutes verdicts through trusted "

@@ -13,6 +13,7 @@
 #include <utility>
 
 #include "number_arg.hpp"
+#include "sim/thread_pool.hpp"
 
 namespace blackdp::bench {
 
@@ -93,7 +94,7 @@ struct TrialArgs {
 
 /// Reads `[TRIALS] [--jobs N]`, or only `[--jobs N]` when `defaultTrials`
 /// is 0 (a bench without a trial count). TRIALS is in 1..2^32-1 and --jobs
-/// in 0..tools::kMaxJobs.
+/// in 0..sim::kMaxJobs.
 [[nodiscard]] inline TrialArgs parseTrialArgs(int argc, char** argv,
                                               std::uint32_t defaultTrials) {
   Args args{argc, argv, defaultTrials != 0 ? "[TRIALS] [--jobs N]"
@@ -102,7 +103,7 @@ struct TrialArgs {
   bool trialsRead = false;
   while (args.next()) {
     if (args.is("--jobs")) {
-      out.jobs = static_cast<unsigned>(args.number(0, tools::kMaxJobs));
+      out.jobs = static_cast<unsigned>(args.number(0, sim::kMaxJobs));
     } else if (defaultTrials != 0 && !trialsRead && !args.arg().empty() &&
                args.arg()[0] != '-') {
       out.trials =

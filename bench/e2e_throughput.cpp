@@ -14,7 +14,7 @@
 // informational (crypto signing on the d_req path is allowed to allocate).
 //
 // Emits BENCH_e2e_throughput.json (schema v2 + throughput.allocations_per_
-// frame). Trials fan out over --jobs via sim::ParallelRunner; the metrics
+// frame). Trials fan out over --jobs via sim::ThreadPool; the metrics
 // subtree is submission-order merged and identical for any --jobs value.
 //
 // Flags: --trials N         highway trials (default 2)
@@ -35,7 +35,7 @@
 #include "obs/registry.hpp"
 #include "scenario/highway_scenario.hpp"
 #include "scenario/stream_world.hpp"
-#include "sim/parallel.hpp"
+#include "sim/thread_pool.hpp"
 
 namespace {
 
@@ -174,12 +174,11 @@ int main(int argc, char** argv) {
     } else if (args.is("--stream-epochs")) {
       streamEpochs = count();
     } else if (args.is("--jobs")) {
-      requestedJobs = static_cast<unsigned>(args.number(0, tools::kMaxJobs));
+      requestedJobs = static_cast<unsigned>(args.number(0, sim::kMaxJobs));
     } else {
       args.reject();
     }
   }
-  const unsigned jobs = sim::resolveJobCount(requestedJobs);
   const std::uint32_t streamWarmup = 5;
 
   if (!common::allocHookActive()) {
@@ -187,10 +186,10 @@ int main(int argc, char** argv) {
                  "figures will read 0 without meaning\n";
   }
 
-  const sim::ParallelRunner runner{jobs};
+  sim::ThreadPool pool{sim::resolveJobCount(requestedJobs)};
   // Trial 0 is the stream phase; 1..trials are highway trials. One map call
   // so --jobs overlaps both phases.
-  const std::vector<SpanMeasure> spans = runner.map<SpanMeasure>(
+  const std::vector<SpanMeasure> spans = pool.map<SpanMeasure>(
       static_cast<std::size_t>(trials) + 1, [&](std::size_t i) {
         if (i == 0) return streamTrial(2024, streamWarmup, streamEpochs);
         return highwayTrial(100 + static_cast<std::uint64_t>(i), warmup,
@@ -263,7 +262,7 @@ int main(int argc, char** argv) {
   registry.gauge("e2e.trials").set(static_cast<double>(trials));
 
   obs::BenchRunInfo info =
-      timer.info(highway.framesDelivered).recordJobs(runner.jobs());
+      timer.info(highway.framesDelivered).recordJobs(pool.workers());
   info.allocationsPerFrame = allocsPerFrame >= 0.0 ? allocsPerFrame : -1.0;
   // Headline fps is the steady-state rate, not frames over process wall
   // clock (which would charge world construction to the data plane).

@@ -45,7 +45,7 @@
 #include "metrics/table.hpp"
 #include "obs/bench_json.hpp"
 #include "scenario/corridor_world.hpp"
-#include "sim/parallel.hpp"
+#include "sim/thread_pool.hpp"
 
 namespace {
 
@@ -198,7 +198,7 @@ int main(int argc, char** argv) {
     } else if (args.is("--seed")) {
       config.seed = args.number(0, std::numeric_limits<std::uint64_t>::max());
     } else if (args.is("--jobs")) {
-      requestedJobs = static_cast<unsigned>(args.number(0, tools::kMaxJobs));
+      requestedJobs = static_cast<unsigned>(args.number(0, sim::kMaxJobs));
     } else if (args.is("--surfaces-out-a")) {
       outA = args.value();
     } else if (args.is("--surfaces-out-b")) {
@@ -214,10 +214,8 @@ int main(int argc, char** argv) {
               std::to_string(shardsB) + " must not exceed --segments " +
               std::to_string(config.segments));
   }
-  const unsigned jobs = sim::resolveJobCount(requestedJobs);
-
-  const sim::ParallelRunner runner{jobs};
-  sim::ThreadPool& pool = runner.threadPool();
+  sim::ThreadPool pool{sim::resolveJobCount(requestedJobs)};
+  const unsigned jobs = pool.workers();
 
   std::cout << "Megacity corridor: " << config.segments << " km, "
             << config.vehicles << " vehicles, " << epochs << " epochs, "

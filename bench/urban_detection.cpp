@@ -16,7 +16,7 @@
 #include "obs/bench_json.hpp"
 #include "scenario/telemetry.hpp"
 #include "scenario/urban_scenario.hpp"
-#include "sim/parallel.hpp"
+#include "sim/thread_pool.hpp"
 
 namespace {
 
@@ -56,11 +56,11 @@ int main(int argc, char** argv) {
   using metrics::Table;
   const obs::BenchTimer timer;
   const bench::TrialArgs args = bench::parseTrialArgs(argc, argv, 25);
-  const sim::ParallelRunner runner{args.jobs};
+  sim::ThreadPool pool{sim::resolveJobCount(args.jobs)};
   const std::uint32_t trials = args.trials;
 
   std::cout << "Urban extension — BlackDP on a 4x4-block Manhattan grid ("
-            << trials << " trials per placement, " << runner.jobs()
+            << trials << " trials per placement, " << pool.workers()
             << " jobs)\n\n";
 
   const std::vector<std::pair<std::uint32_t, std::uint32_t>> placements{
@@ -80,7 +80,7 @@ int main(int argc, char** argv) {
     for (const auto& [ix, iy] : placements) grid.push_back({attack, ix, iy});
   }
   const std::vector<UrbanTrialOutcome> outcomes =
-      runner.map<UrbanTrialOutcome>(grid.size() * trials, [&](std::size_t i) {
+      pool.map<UrbanTrialOutcome>(grid.size() * trials, [&](std::size_t i) {
         const Cell& cell = grid[i / trials];
         return runTrial(cell.attack, cell.ix, cell.iy,
                         static_cast<std::uint32_t>(i % trials), 20260706);
@@ -124,7 +124,7 @@ int main(int argc, char** argv) {
 
   obs::addConfusion(registry, "urban.total", total);
   obs::writeBenchJson("urban_detection", registry.snapshot(),
-                      timer.info().recordJobs(runner.jobs()));
+                      timer.info().recordJobs(pool.workers()));
 
   const double overall = total.recall();
   std::cout << "\noverall detection accuracy: " << Table::percent(overall)

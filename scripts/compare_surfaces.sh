@@ -69,6 +69,25 @@ run_surfaces() {
   # narration names the trace path, so it is relative.
   (cd "$s" && "$build/examples/cooperative_blackhole" 7 \
     --trace cooperative_blackhole.trace.jsonl > cooperative_blackhole.txt)
+
+  # The eight table benches at the sizes the CI bench stage runs. Their
+  # BENCH_<name>.json carries wall clock beside the metrics, so only its
+  # metrics subtree is a surface.
+  local bench json
+  mkdir -p "$l/bench-json"
+  for bench in "table1_scenario" "ablation_baselines 5 --jobs $jobs" \
+      "ablation_pdr 2 --jobs $jobs" "ablation_watchdog 2 --jobs $jobs" \
+      "ablation_fog --jobs $jobs" "ablation_faults 2 --jobs $jobs" \
+      "ablation_adversarial 3 --jobs $jobs" "urban_detection 2 --jobs $jobs"; do
+    # shellcheck disable=SC2086  # the bench string carries its own arguments
+    BLACKDP_BENCH_OUT="$l/bench-json" "$build/bench/"$bench \
+      > "$l/bench-${bench%% *}.log"
+  done
+  for json in "$l/bench-json"/BENCH_*.json; do
+    python3 -c 'import json, sys
+json.dump(json.load(open(sys.argv[1]))["metrics"], sys.stdout, indent=1,
+          sort_keys=True)' "$json" > "$s/$(basename "$json" .json).metrics.json"
+  done
 }
 
 rm -rf "$out/parent" "$out/change"

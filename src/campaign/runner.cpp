@@ -14,7 +14,7 @@
 #include "core/telemetry.hpp"
 #include "obs/bench_json.hpp"
 #include "scenario/highway_scenario.hpp"
-#include "sim/parallel.hpp"
+#include "sim/thread_pool.hpp"
 
 namespace blackdp::campaign {
 
@@ -289,8 +289,8 @@ CampaignResult CampaignRunner::run(const CampaignSpec& spec) const {
     writer.emplace(manifestPath, preamble, remaining);
   }
 
-  const sim::ParallelRunner runner{options_.jobs};
-  const std::vector<TrialRecord> fresh = runner.map<TrialRecord>(
+  sim::ThreadPool pool{sim::resolveJobCount(options_.jobs)};
+  const std::vector<TrialRecord> fresh = pool.map<TrialRecord>(
       remaining.size(), [&](std::size_t i) {
         const std::uint64_t id = remaining[i];
         const auto treatment = static_cast<std::uint32_t>(id / spec.trials);
@@ -359,7 +359,7 @@ CampaignResult CampaignRunner::run(const CampaignSpec& spec) const {
     const obs::BenchRunInfo info =
         options_.pinSidecar
             ? obs::BenchRunInfo{}
-            : timer.info(result.framesDelivered).recordJobs(runner.jobs());
+            : timer.info(result.framesDelivered).recordJobs(pool.workers());
     result.benchPath =
         obs::writeBenchJson(spec.name, result.snapshot, info, outDir);
   }

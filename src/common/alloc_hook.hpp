@@ -10,7 +10,7 @@
 //
 // Counters are thread-local on purpose: a measurement brackets a span of
 // work on one thread (a steady-state frame loop) and must not see noise
-// from google-benchmark timer threads or parallel-runner workers.
+// from google-benchmark timer threads or worker-pool threads.
 #pragma once
 
 #include <cstdint>

@@ -18,8 +18,8 @@ enum class LogLevel : int { kTrace = 0, kDebug, kInfo, kWarn, kError, kOff };
 [[nodiscard]] std::string_view toString(LogLevel level);
 
 /// Global logging configuration. Level and sink are set once at startup from
-/// the main thread; emission itself is serialised so parallel trial workers
-/// (sim/parallel.hpp) cannot interleave lines.
+/// the main thread; emission itself is serialised so worker-pool threads
+/// (sim/thread_pool.hpp) cannot interleave lines.
 class Logging {
  public:
   using Sink = std::function<void(LogLevel, std::string_view component,

@@ -55,8 +55,8 @@ class MemoryRecorder final : public TraceRecorder {
 };
 
 /// Per-thread recorder registry. Each simulator is single-threaded, but the
-/// parallel trial runner (sim/parallel.hpp) executes independent simulators
-/// on worker threads concurrently — a thread-local slot keeps installation
+/// worker pool (sim/thread_pool.hpp) executes independent simulators on
+/// worker threads concurrently — a thread-local slot keeps installation
 /// race-free and lets each trial record into its own sink without seeing its
 /// neighbours' events. The null fast path is still one TLS load and branch.
 class Trace {

@@ -38,7 +38,7 @@ enum class EventKind : std::uint8_t {
   kChTable,          ///< cluster-head table operation; op = ChTableOp
   kFault,            ///< fault injector activation; op = FaultOp
   kSimRun,           ///< simulator run window; op = SimRunOp
-  kParallel,         ///< parallel-runner host event; op = ParallelOp
+  kParallel,         ///< worker-pool host event; op = ParallelOp
   kShard,            ///< sharded-simulation host event; op = ShardOp
 };
 
@@ -120,11 +120,11 @@ enum class SimRunOp : std::uint8_t {
   kRunEnd,    ///< Simulator::run() returned; value = events executed
 };
 
-/// Host-side parallel-runner events. Emitted on the calling thread after the
+/// Host-side worker-pool events. Emitted on the calling thread after the
 /// worker pool joins (workers themselves never touch the thread-local
 /// recorder), so they carry wall-clock-free atUs = 0.
 enum class ParallelOp : std::uint8_t {
-  kWorkerFailure,  ///< swallowed worker exception; value = job index
+  kWorkerFailure,  ///< task exception not rethrown; value = task index
 };
 
 /// Sharded-simulation host events. Like ParallelOp, these are emitted on the

@@ -114,16 +114,17 @@ std::vector<BaselineCell> runBaselineTreatment(
 
 std::vector<BaselineCell> runBaselineComparison(
     std::uint32_t trials, std::uint64_t seedBase,
-    common::ClusterId attackerCluster, const sim::ParallelRunner* runner) {
+    common::ClusterId attackerCluster, sim::ThreadPool* pool) {
   const std::vector<AttackType> attacks{AttackType::kSingle,
                                         AttackType::kCooperative};
-  const sim::ParallelRunner inlineRunner{1};
-  const sim::ParallelRunner& pool = runner ? *runner : inlineRunner;
+  sim::ThreadPool inlinePool{1};
+  sim::ThreadPool& workers = pool != nullptr ? *pool : inlinePool;
   const std::vector<std::vector<BaselineCell>> perAttack =
-      pool.map<std::vector<BaselineCell>>(attacks.size(), [&](std::size_t i) {
-        return runBaselineTreatment(attacks[i], trials, seedBase,
-                                    attackerCluster);
-      });
+      workers.map<std::vector<BaselineCell>>(
+          attacks.size(), [&](std::size_t i) {
+            return runBaselineTreatment(attacks[i], trials, seedBase,
+                                        attackerCluster);
+          });
 
   std::vector<BaselineCell> cells;
   for (const std::vector<BaselineCell>& treatment : perAttack) {

@@ -10,7 +10,7 @@
 
 #include "metrics/confusion.hpp"
 #include "scenario/highway_scenario.hpp"
-#include "sim/parallel.hpp"
+#include "sim/thread_pool.hpp"
 
 namespace blackdp::scenario {
 
@@ -27,9 +27,10 @@ struct BaselineCell {
 /// treatments and grades each against ground truth. The PEAK baseline is
 /// stateful across a treatment's discoveries by design, so the runner may
 /// only fan out at the attack-treatment level (two tasks), never per trial.
+/// A null `pool` runs the two treatments serially.
 [[nodiscard]] std::vector<BaselineCell> runBaselineComparison(
     std::uint32_t trials, std::uint64_t seedBase,
     common::ClusterId attackerCluster = common::ClusterId{2},
-    const sim::ParallelRunner* runner = nullptr);
+    sim::ThreadPool* pool = nullptr);
 
 }  // namespace blackdp::scenario

@@ -138,9 +138,6 @@ void ShardedSimulation::runEpoch() {
                        std::chrono::steady_clock::now() - begin)
                        .count();
   });
-  if (!pool_.failures().empty()) {
-    std::rethrow_exception(pool_.failures().front().error);
-  }
 
   for (std::uint32_t s = 0; s < shards; ++s) {
     stats_.busySeconds[s] += epochBusy[s];

@@ -91,8 +91,8 @@ class ShardedSimulation {
 
   /// `worlds` holds one ShardWorld per plan region (worlds[s] owns segments
   /// [plan.firstSegment(s), plan.firstSegment(s) + plan.segmentCount(s))).
-  /// The pool is borrowed — typically sim::ParallelRunner::threadPool() —
-  /// and must outlive this object.
+  /// The pool is borrowed — typically the one that also runs the caller's
+  /// trials — and must outlive this object.
   ShardedSimulation(ShardPlan plan, std::vector<ShardWorld*> worlds,
                     sim::ThreadPool& pool, Config config);
   ShardedSimulation(ShardPlan plan, std::vector<ShardWorld*> worlds,
@@ -100,8 +100,9 @@ class ShardedSimulation {
 
   /// Runs one lock-step epoch across all shards, then exchanges envelopes.
   /// Worker exceptions propagate after all shards have stopped (lowest shard
-  /// index wins, mirroring ParallelRunner). Throws ShardIntegrityError on a
-  /// barrier integrity violation (counter incremented first).
+  /// index wins, the others are traced; ThreadPool::parallelFor's policy) and
+  /// leave epoch() unchanged. Throws ShardIntegrityError on a barrier
+  /// integrity violation (counter incremented first).
   void runEpoch();
 
   /// Pending per-shard inboxes for the next epoch, canonical order

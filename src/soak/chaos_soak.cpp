@@ -11,7 +11,6 @@
 #include "obs/json.hpp"
 #include "obs/trace.hpp"
 #include "scenario/highway_scenario.hpp"
-#include "sim/parallel.hpp"
 #include "sim/rng.hpp"
 
 namespace blackdp::soak {
@@ -214,16 +213,17 @@ class ChaosEpochWorld final : public EpochWorld {
     const std::uint64_t first = epoch_ * kTrialsPerEpoch;
     std::array<SoakTrialReport, kTrialsPerEpoch> reports;
     pool_.parallelFor(kTrialsPerEpoch, [&](std::size_t i) {
-      reports[i] = runTrial(config_, first + i);
+      // --- no-swallowed-failures ---------------------------------------
+      // Trial bodies convert their own exceptions into violations, so
+      // anything that escapes runTrial is a harness bug worth failing on.
+      try {
+        reports[i] = runTrial(config_, first + i);
+      } catch (...) {
+        reports[i].violations.push_back(
+            {epoch_, "no-swallowed-failures",
+             sim::describeException(std::current_exception())});
+      }
     });
-    // --- no-swallowed-failures -----------------------------------------
-    // Trial bodies convert their own exceptions into violations, so any
-    // failure the pool caught is a harness bug worth failing on.
-    for (const sim::ThreadPool::TaskFailure& failure : pool_.failures()) {
-      reports[failure.index].violations.push_back(
-          {epoch_, "no-swallowed-failures",
-           sim::describeException(failure.error)});
-    }
     broken_.clear();
     for (std::size_t i = 0; i < kTrialsPerEpoch; ++i) {
       fold(first + i, reports[i]);

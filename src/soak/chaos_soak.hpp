@@ -16,8 +16,8 @@
 //   trace-reconciled    the structured trace agrees with the detector
 //                       counters (probes sent, verdicts issued);
 //   trial-exception     the trial ran to its checks without throwing;
-//   no-swallowed-failures  the trial pool caught no exception that escaped
-//                       a trial body.
+//   no-swallowed-failures  no exception escaped a trial body into the
+//                       trial pool.
 //
 // Epoch e runs trials 16e .. 16e+15 on a sim::ThreadPool and folds them in
 // trial order into counters (the surfaces, and one kChaos checkpoint

@@ -146,8 +146,12 @@ TEST(CheckpointCorruptionTest, CrcMatchesTheReferenceCheckValue) {
 class AtomicWriteTest : public ::testing::Test {
  protected:
   void SetUp() override {
+    // Per-test directory: ctest runs every case as its own process, in
+    // parallel, and one case's SetUp must not delete another's files.
+    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
     dir_ = std::filesystem::path{::testing::TempDir()} /
-           "blackdp_checkpoint_test";
+           (std::string{"blackdp_"} + info->test_suite_name() + "_" +
+            info->name());
     std::filesystem::remove_all(dir_);
     std::filesystem::create_directories(dir_);
   }

@@ -36,8 +36,8 @@
 #include "obs/json.hpp"
 #include "scenario/corridor_world.hpp"
 #include "scenario/stream_world.hpp"
-#include "sim/parallel.hpp"
 #include "sim/rng.hpp"
+#include "sim/thread_pool.hpp"
 #include "soak/chaos_soak.hpp"
 #include "soak/epoch_soak.hpp"
 
@@ -70,17 +70,17 @@ struct CorridorCase {
       codec::CheckpointTag::kCorridorMeta;
   static constexpr int kEpochsAfterRestore = 3;
 
-  soak::SoakWorld world(std::uint64_t seed, std::uint32_t variant = 0) const {
+  soak::SoakWorld world(std::uint64_t seed, std::uint32_t variant = 0) {
     scenario::CorridorConfig config;
     config.seed = seed;
     config.segments = 2;
     config.vehicles = 24 + variant;
     config.attackerPermille = 100;
     config.departPermille = 100;
-    return soak::corridorSoakWorld(config, 2, runner.threadPool());
+    return soak::corridorSoakWorld(config, 2, pool);
   }
 
-  sim::ParallelRunner runner{2};
+  sim::ThreadPool pool{2};
 };
 
 /// The chaos soak: 16 randomized trials per epoch on two workers.
@@ -92,11 +92,11 @@ struct ChaosCase {
   static constexpr int kEpochsAfterRestore = 1;
 
   /// `variant` > 0 turns inject-violation on (a foreign config, same seed).
-  soak::SoakWorld world(std::uint64_t seed, std::uint32_t variant = 0) const {
-    return soak::chaosSoakWorld({seed, variant > 0}, runner.threadPool());
+  soak::SoakWorld world(std::uint64_t seed, std::uint32_t variant = 0) {
+    return soak::chaosSoakWorld({seed, variant > 0}, pool);
   }
 
-  sim::ParallelRunner runner{2};
+  sim::ThreadPool pool{2};
 };
 
 const std::set<std::string>& typedErrors() {
@@ -607,12 +607,12 @@ TEST_F(StreamSoakHarnessTest, RecordedTraceReplaysToTheSameVerdictTimeline) {
 TEST_F(ChaosSoakHarnessTest, SurfacesAreIdenticalAtOneAndFourJobs) {
   soak::CheckpointedSoakOptions options;
   options.epochs = 3;
-  const sim::ParallelRunner one{1};
-  const sim::ParallelRunner four{4};
+  sim::ThreadPool one{1};
+  sim::ThreadPool four{4};
   const soak::CheckpointedSoakResult a = soak::runCheckpointedSoak(
-      soak::chaosSoakWorld({18, false}, one.threadPool()), options);
+      soak::chaosSoakWorld({18, false}, one), options);
   const soak::CheckpointedSoakResult b = soak::runCheckpointedSoak(
-      soak::chaosSoakWorld({18, false}, four.threadPool()), options);
+      soak::chaosSoakWorld({18, false}, four), options);
   ASSERT_TRUE(a.passed()) << describe(a);
   ASSERT_TRUE(b.passed()) << describe(b);
   EXPECT_EQ(a.surfaces, b.surfaces);
@@ -626,7 +626,7 @@ TEST_F(ChaosSoakHarnessTest, InjectedViolationFailsFastWithATrialReplay) {
   soak::CheckpointedSoakOptions options;
   options.epochs = 3;
   const soak::CheckpointedSoakResult result = soak::runCheckpointedSoak(
-      soak::chaosSoakWorld(config, case_.runner.threadPool()), options);
+      soak::chaosSoakWorld(config, case_.pool), options);
   EXPECT_EQ(result.endEpoch, 1u);  // no epoch ran after the violating one
   // Every trial of epoch 0 revoked an honest vehicle, and none after it ran.
   ASSERT_EQ(result.violations.size(), soak::kTrialsPerEpoch);

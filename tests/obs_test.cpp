@@ -175,7 +175,7 @@ TEST(RegistryTest, MergeAddsCountersOverwritesGaugesAndFoldsHistograms) {
 
 TEST(RegistryTest, MergeSequenceMatchesSerialFold) {
   // Folding three per-trial snapshots in submission order must equal one
-  // registry fed the same observations serially — the parallel runner's
+  // registry fed the same observations serially — the worker pool's
   // merge contract.
   obs::MetricsRegistry serial;
   obs::MetricsRegistry merged;

@@ -1,7 +1,8 @@
-// Pins the parallel trial runner's determinism contract: results come back
-// slotted by submission index, so a fold over them is bit-identical for any
-// worker count. (The end-to-end jobs-independence pin over a real workload
-// lives in campaign_test.cpp, on the campaign engine.)
+// Pins the worker pool's contracts: results come back slotted by submission
+// index, so a fold over them is bit-identical for any worker count; every
+// task runs and the lowest-indexed failure propagates; nested calls run
+// inline. (The end-to-end jobs-independence pin over a real workload lives
+// in campaign_test.cpp, on the campaign engine.)
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,8 +14,8 @@
 #include <vector>
 
 #include "codec/checkpoint.hpp"
-#include "obs/registry.hpp"
-#include "sim/parallel.hpp"
+#include "obs/trace.hpp"
+#include "sim/thread_pool.hpp"
 
 namespace blackdp {
 namespace {
@@ -56,10 +57,18 @@ TEST(ResolveJobCountTest, FallsBackToEnvironmentVariable) {
 }
 
 TEST(ResolveJobCountTest, IgnoresGarbageEnvironmentValue) {
-  const ScopedJobsEnv env{"banana"};
-  const unsigned resolved = sim::resolveJobCount(0);
   const unsigned hardware = std::thread::hardware_concurrency();
-  EXPECT_EQ(resolved, hardware > 0 ? hardware : 1u);
+  // Anything but one whole decimal token in 1..kMaxJobs falls through to the
+  // hardware default: a trailing character, a value that would wrap or
+  // exceed the bound, a sign, nothing at all.
+  for (const char* garbage :
+       {"banana", "4abc", "4294967297", "100000", "-2", ""}) {
+    const ScopedJobsEnv env{garbage};
+    EXPECT_EQ(sim::resolveJobCount(0), hardware > 0 ? hardware : 1u)
+        << "BLACKDP_JOBS='" << garbage << "'";
+  }
+  const ScopedJobsEnv env{"1024"};
+  EXPECT_EQ(sim::resolveJobCount(0), sim::kMaxJobs);
 }
 
 TEST(ResolveJobCountTest, NeverReturnsZero) {
@@ -67,43 +76,54 @@ TEST(ResolveJobCountTest, NeverReturnsZero) {
   EXPECT_GE(sim::resolveJobCount(0), 1u);
 }
 
-TEST(ParallelRunnerTest, MapReturnsResultsInSubmissionOrder) {
-  const sim::ParallelRunner runner{4};
+TEST(ThreadPoolTest, MapReturnsResultsInSubmissionOrder) {
+  sim::ThreadPool pool{4};
   const std::vector<std::size_t> results =
-      runner.map<std::size_t>(257, [](std::size_t i) { return i * i; });
+      pool.map<std::size_t>(257, [](std::size_t i) { return i * i; });
   ASSERT_EQ(results.size(), 257u);
   for (std::size_t i = 0; i < results.size(); ++i) {
     EXPECT_EQ(results[i], i * i);
   }
 }
 
-TEST(ParallelRunnerTest, ForEachIndexRunsEveryTaskExactlyOnce) {
-  const sim::ParallelRunner runner{4};
+TEST(ThreadPoolTest, ParallelForRunsEveryTaskExactlyOnce) {
+  sim::ThreadPool pool{4};
   std::vector<std::atomic<int>> hits(100);
-  runner.forEachIndex(hits.size(), [&](std::size_t i) { ++hits[i]; });
+  pool.parallelFor(hits.size(), [&](std::size_t i) { ++hits[i]; });
   for (const auto& hit : hits) EXPECT_EQ(hit.load(), 1);
 }
 
-TEST(ParallelRunnerTest, LowestIndexedFailureIsRethrown) {
-  const sim::ParallelRunner runner{4};
-  EXPECT_THROW(
-      {
-        try {
-          runner.forEachIndex(64, [](std::size_t i) {
-            if (i >= 10) throw std::runtime_error("task " + std::to_string(i));
-          });
-        } catch (const std::runtime_error& e) {
-          EXPECT_STREQ(e.what(), "task 10");
-          throw;
-        }
-      },
-      std::runtime_error);
+TEST(ThreadPoolTest, LowestIndexedFailureIsRethrown) {
+  // Inline (one worker) and across the pool: every task runs despite the
+  // failures, then the lowest-indexed exception propagates.
+  for (const unsigned workers : {1u, 4u}) {
+    sim::ThreadPool pool{workers};
+    std::atomic<int> ran{0};
+    EXPECT_THROW(
+        {
+          try {
+            pool.parallelFor(64, [&ran](std::size_t i) {
+              ++ran;
+              if (i >= 10) {
+                throw std::runtime_error("task " + std::to_string(i));
+              }
+            });
+          } catch (const std::runtime_error& e) {
+            EXPECT_STREQ(e.what(), "task 10");
+            throw;
+          }
+        },
+        std::runtime_error);
+    EXPECT_EQ(ran.load(), 64) << workers << " workers";
+  }
 }
 
-TEST(ParallelRunnerTest, SuppressedFailuresAreRecordedSortedByIndex) {
-  const sim::ParallelRunner runner{4};
+TEST(ThreadPoolTest, SuppressedFailuresAreRecordedSortedByIndex) {
+  sim::ThreadPool pool{4};
+  obs::MemoryRecorder recorder;
+  const obs::ScopedTraceRecorder scoped{&recorder};
   try {
-    runner.forEachIndex(64, [](std::size_t i) {
+    pool.parallelFor(64, [](std::size_t i) {
       if (i == 7 || i == 23 || i == 41) {
         throw std::runtime_error("task " + std::to_string(i));
       }
@@ -112,43 +132,35 @@ TEST(ParallelRunnerTest, SuppressedFailuresAreRecordedSortedByIndex) {
   } catch (const std::runtime_error& e) {
     EXPECT_STREQ(e.what(), "task 7");
   }
-  // The two failures the rethrow suppressed are queryable, in index order,
-  // with their messages preserved.
-  const std::vector<sim::WorkerFailure>& swallowed = runner.swallowedFailures();
-  ASSERT_EQ(swallowed.size(), 2u);
-  EXPECT_EQ(swallowed[0].index, 23u);
-  EXPECT_EQ(swallowed[0].what, "task 23");
-  EXPECT_EQ(swallowed[1].index, 41u);
-  EXPECT_EQ(swallowed[1].what, "task 41");
-}
-
-TEST(ParallelRunnerTest, SwallowedFailuresResetOnTheNextRun) {
-  const sim::ParallelRunner runner{4};
-  try {
-    runner.forEachIndex(8, [](std::size_t i) {
-      if (i >= 2) throw std::runtime_error("boom");
-    });
-  } catch (const std::runtime_error&) {
+  // The two failures the rethrow suppressed are traced on the calling
+  // thread, in index order, with their messages preserved.
+  const std::vector<obs::TraceEvent>& traced = recorder.events();
+  ASSERT_EQ(traced.size(), 2u);
+  for (const obs::TraceEvent& event : traced) {
+    EXPECT_EQ(event.kind, obs::EventKind::kParallel);
+    EXPECT_EQ(event.op,
+              static_cast<std::uint8_t>(obs::ParallelOp::kWorkerFailure));
   }
-  EXPECT_FALSE(runner.swallowedFailures().empty());
-  runner.forEachIndex(8, [](std::size_t) {});
-  EXPECT_TRUE(runner.swallowedFailures().empty());
+  EXPECT_EQ(traced[0].value, 23u);
+  EXPECT_EQ(traced[0].detail, "task 23");
+  EXPECT_EQ(traced[1].value, 41u);
+  EXPECT_EQ(traced[1].detail, "task 41");
 }
 
-TEST(ParallelRunnerTest, SingleJobRunsInline) {
-  const sim::ParallelRunner runner{1};
-  EXPECT_EQ(runner.jobs(), 1u);
+TEST(ThreadPoolTest, SingleJobRunsInline) {
+  sim::ThreadPool pool{1};
+  EXPECT_EQ(pool.workers(), 1u);
   const std::thread::id caller = std::this_thread::get_id();
-  runner.forEachIndex(8, [caller](std::size_t) {
+  pool.parallelFor(8, [caller](std::size_t) {
     EXPECT_EQ(std::this_thread::get_id(), caller);
   });
 }
 
 // A worker that dies while writing a checkpoint must propagate its exception
-// through forEachIndex AND leave the checkpoint file either absent or intact
+// through parallelFor AND leave the checkpoint file either absent or intact
 // — never a partial write, never a stray temp file (write-to-temp + atomic
 // rename). This is the campaign-manifest / stream-checkpoint crash contract.
-TEST(ParallelRunnerTest, WorkerExceptionDuringCheckpointWriteLeavesNoPartialFile) {
+TEST(ThreadPoolTest, WorkerExceptionDuringCheckpointWriteLeavesNoPartialFile) {
   namespace fs = std::filesystem;
   const fs::path dir = fs::path{::testing::TempDir()} / "blackdp_parallel_ckpt";
   fs::remove_all(dir);
@@ -157,19 +169,19 @@ TEST(ParallelRunnerTest, WorkerExceptionDuringCheckpointWriteLeavesNoPartialFile
   const common::Bytes original{1, 2, 3};
   ASSERT_TRUE(codec::writeFileAtomic(path, original).ok());
 
-  const sim::ParallelRunner runner{4};
+  sim::ThreadPool pool{4};
   EXPECT_THROW(
-      runner.forEachIndex(4,
-                          [&](std::size_t i) {
-                            if (i != 2) return;
-                            // The hook fires after the temp write, before
-                            // the rename — the instant a kill would tear a
-                            // naive in-place rewrite.
-                            (void)codec::writeFileAtomic(
-                                path, common::Bytes{9, 9, 9, 9}, [] {
-                                  throw std::runtime_error{"disk failure"};
-                                });
-                          }),
+      pool.parallelFor(4,
+                       [&](std::size_t i) {
+                         if (i != 2) return;
+                         // The hook fires after the temp write, before the
+                         // rename — the instant a kill would tear a naive
+                         // in-place rewrite.
+                         (void)codec::writeFileAtomic(
+                             path, common::Bytes{9, 9, 9, 9}, [] {
+                               throw std::runtime_error{"disk failure"};
+                             });
+                       }),
       std::runtime_error);
 
   const auto read = codec::readFile(path);
@@ -183,18 +195,18 @@ TEST(ParallelRunnerTest, WorkerExceptionDuringCheckpointWriteLeavesNoPartialFile
 }
 
 
-TEST(ParallelRunnerTest, NestedParallelismRunsInlineOnTheWorker) {
-  // A ShardedSimulation (or any other consumer of threadPool()) may itself
+TEST(ThreadPoolTest, NestedParallelismRunsInlineOnTheWorker) {
+  // A ShardedSimulation (or any other user of a shared pool) may itself
   // live inside a parallel campaign trial. The nested call must degrade to
   // serial on the worker thread instead of re-entering the pool — the jobs
   // budget stays with the outermost level.
-  const sim::ParallelRunner runner{4};
+  sim::ThreadPool pool{4};
   std::vector<std::atomic<int>> hits(64);
   std::atomic<int> nestedOffWorkerThread{0};
-  runner.forEachIndex(8, [&](std::size_t outer) {
+  pool.parallelFor(8, [&](std::size_t outer) {
     EXPECT_TRUE(sim::ThreadPool::insideWorker());
     const std::thread::id worker = std::this_thread::get_id();
-    runner.forEachIndex(8, [&, outer, worker](std::size_t inner) {
+    pool.parallelFor(8, [&, outer, worker](std::size_t inner) {
       if (std::this_thread::get_id() != worker) ++nestedOffWorkerThread;
       ++hits[outer * 8 + inner];
     });
@@ -202,17 +214,6 @@ TEST(ParallelRunnerTest, NestedParallelismRunsInlineOnTheWorker) {
   // Every nested task ran exactly once, and none escaped its worker.
   for (const auto& hit : hits) EXPECT_EQ(hit.load(), 1);
   EXPECT_EQ(nestedOffWorkerThread.load(), 0);
-}
-
-TEST(ParallelRunnerTest, ThreadPoolIsExposedAndSharedAcrossCalls) {
-  const sim::ParallelRunner runner{3};
-  sim::ThreadPool& pool = runner.threadPool();
-  EXPECT_EQ(&pool, &runner.threadPool());  // one pool per runner
-  EXPECT_EQ(pool.workers(), 3u);
-  std::atomic<int> ran{0};
-  pool.parallelFor(11, [&](std::size_t) { ++ran; });
-  EXPECT_EQ(ran.load(), 11);
-  EXPECT_TRUE(pool.failures().empty());
 }
 
 }  // namespace

@@ -33,7 +33,7 @@
 #include "shard/envelope.hpp"
 #include "shard/integrity.hpp"
 #include "shard/sharded_sim.hpp"
-#include "sim/parallel.hpp"
+#include "sim/thread_pool.hpp"
 
 namespace blackdp {
 namespace {
@@ -92,12 +92,12 @@ std::optional<shard::IntegrityViolation> violationFor(
     std::vector<shard::Envelope> low, std::vector<shard::Envelope> high,
     shard::ShardStats* statsOut = nullptr,
     shard::ShardedSimulation::Config config = {}) {
-  const sim::ParallelRunner runner{2};
+  sim::ThreadPool pool{2};
   const shard::ShardPlan plan = shard::ShardPlan::contiguous(4, 2);
   ScriptedWorld lowWorld{std::move(low)};
   ScriptedWorld highWorld{std::move(high)};
   shard::ShardedSimulation sharded{plan, {&lowWorld, &highWorld},
-                                  runner.threadPool(), std::move(config)};
+                                  pool, std::move(config)};
   std::optional<shard::IntegrityViolation> caught;
   try {
     sharded.runEpoch();
@@ -210,11 +210,11 @@ scenario::CorridorConfig tinyCorridor() {
 }
 
 TEST(CorridorCheckpointTest, KillAtEveryEpochBoundaryResumesByteIdentically) {
-  const sim::ParallelRunner runner{4};
+  sim::ThreadPool pool{4};
   const scenario::CorridorConfig config = tinyCorridor();
   constexpr std::uint32_t kEpochs = 4;
 
-  scenario::CorridorWorld reference{config, 2, runner.threadPool()};
+  scenario::CorridorWorld reference{config, 2, pool};
   std::vector<common::Bytes> checkpoints;  // boundary 1, 2, ..., kEpochs
   while (reference.nextEpoch() < kEpochs) {
     reference.step();
@@ -225,7 +225,7 @@ TEST(CorridorCheckpointTest, KillAtEveryEpochBoundaryResumesByteIdentically) {
   const std::string wantLog = reference.canonicalLog();
 
   for (std::size_t cut = 0; cut < checkpoints.size(); ++cut) {
-    scenario::CorridorWorld resumed{config, 2, runner.threadPool()};
+    scenario::CorridorWorld resumed{config, 2, pool};
     const auto restored = resumed.restoreCheckpoint(checkpoints[cut]);
     ASSERT_TRUE(restored.ok()) << restored.error().code << ": "
                                << restored.error().detail;
@@ -241,16 +241,16 @@ TEST(CorridorCheckpointTest, KillAtEveryEpochBoundaryResumesByteIdentically) {
 TEST(CorridorCheckpointTest, ResumingUnderADifferentPartitionStillMatches) {
   // The checkpoint stores segment-addressed state, so restoring a 1-shard
   // checkpoint into a 1-shard world must reproduce what a 3-shard run says.
-  const sim::ParallelRunner runner{3};
+  sim::ThreadPool pool{3};
   const scenario::CorridorConfig config = tinyCorridor();
 
-  scenario::CorridorWorld tri{config, 3, runner.threadPool()};
+  scenario::CorridorWorld tri{config, 3, pool};
   tri.run(3);
 
-  scenario::CorridorWorld mono{config, 1, runner.threadPool()};
+  scenario::CorridorWorld mono{config, 1, pool};
   mono.step();
   const common::Bytes blob = mono.saveCheckpoint();
-  scenario::CorridorWorld resumed{config, 1, runner.threadPool()};
+  scenario::CorridorWorld resumed{config, 1, pool};
   ASSERT_TRUE(resumed.restoreCheckpoint(blob).ok());
   resumed.run(3);
   EXPECT_EQ(resumed.metricsJson(), tri.metricsJson());
@@ -318,7 +318,7 @@ ShardSectionLayout walkShardSection(const common::Bytes& section) {
 class HostileShardSectionTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    scenario::CorridorWorld world{hostileCorridor(), 2, runner_.threadPool()};
+    scenario::CorridorWorld world{hostileCorridor(), 2, pool_};
     while (world.nextEpoch() < 4) world.step();
     const auto decoded = codec::decodeCheckpoint(world.saveCheckpoint());
     ASSERT_TRUE(decoded.ok());
@@ -359,11 +359,11 @@ class HostileShardSectionTest : public ::testing::Test {
   }
 
   common::Status restore(const common::Bytes& blob) {
-    scenario::CorridorWorld fresh{hostileCorridor(), 2, runner_.threadPool()};
+    scenario::CorridorWorld fresh{hostileCorridor(), 2, pool_};
     return fresh.restoreCheckpoint(blob);
   }
 
-  sim::ParallelRunner runner_{2};
+  sim::ThreadPool pool_{2};
   codec::Checkpoint checkpoint_;
 };
 
@@ -446,7 +446,7 @@ common::Bytes writeExchange(const Inboxes& inboxes) {
 class HostileExchangeSectionTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    scenario::CorridorWorld world{tinyCorridor(), 2, runner_.threadPool()};
+    scenario::CorridorWorld world{tinyCorridor(), 2, pool_};
     while (world.nextEpoch() < 2) world.step();
     const auto decoded = codec::decodeCheckpoint(world.saveCheckpoint());
     ASSERT_TRUE(decoded.ok());
@@ -470,13 +470,13 @@ class HostileExchangeSectionTest : public ::testing::Test {
 
   /// Restores into a fresh world and, when that succeeds, runs 3 epochs.
   common::Status restoreAndRun(const common::Bytes& blob) {
-    scenario::CorridorWorld fresh{tinyCorridor(), 2, runner_.threadPool()};
+    scenario::CorridorWorld fresh{tinyCorridor(), 2, pool_};
     const common::Status status = fresh.restoreCheckpoint(blob);
     for (int i = 0; status.ok() && i < 3; ++i) fresh.step();
     return status;
   }
 
-  sim::ParallelRunner runner_{2};
+  sim::ThreadPool pool_{2};
   codec::Checkpoint checkpoint_;
   common::Bytes section_;
 };
@@ -574,11 +574,11 @@ std::optional<RevocationLine> firstRevocation(const std::string& log) {
 }
 
 TEST(DegradedModeTest, RevocationGossipIsolatesWhileTheRsuIsDark) {
-  const sim::ParallelRunner runner{2};
+  sim::ThreadPool pool{2};
   const scenario::CorridorConfig clean = tinyCorridor();
   constexpr std::uint32_t kEpochs = 6;
 
-  scenario::CorridorWorld reference{clean, 1, runner.threadPool()};
+  scenario::CorridorWorld reference{clean, 1, pool};
   reference.run(kEpochs);
   const auto revocation = firstRevocation(reference.canonicalLog());
   ASSERT_TRUE(revocation.has_value())
@@ -589,7 +589,7 @@ TEST(DegradedModeTest, RevocationGossipIsolatesWhileTheRsuIsDark) {
   scenario::CorridorConfig dark = clean;
   dark.rsuOutages.push_back(
       {revocation->segment, revocation->epoch, kEpochs});
-  scenario::CorridorWorld degraded{dark, 1, runner.threadPool()};
+  scenario::CorridorWorld degraded{dark, 1, pool};
   degraded.run(kEpochs);
 
   EXPECT_NE(degraded.canonicalLog().find(revocation->text),

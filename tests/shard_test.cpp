@@ -7,16 +7,19 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <span>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/lite_detector.hpp"
 #include "obs/registry.hpp"
+#include "obs/trace.hpp"
 #include "scenario/corridor_world.hpp"
 #include "shard/envelope.hpp"
 #include "shard/sharded_sim.hpp"
-#include "sim/parallel.hpp"
+#include "sim/thread_pool.hpp"
 
 namespace blackdp {
 namespace {
@@ -91,12 +94,11 @@ class RecordingWorld final : public shard::ShardWorld {
 };
 
 TEST(ShardedSimulationTest, MergesAndRoutesEnvelopesInCanonicalOrder) {
-  const sim::ParallelRunner runner{2};
+  sim::ThreadPool pool{2};
   shard::ShardPlan plan = shard::ShardPlan::contiguous(4, 2);
   RecordingWorld low{0, 2};   // segments 0-1, emits 1 -> 2
   RecordingWorld high{2, 2};  // segments 2-3, emits 3 -> 2
-  shard::ShardedSimulation sharded{plan, {&low, &high},
-                                   runner.threadPool()};
+  shard::ShardedSimulation sharded{plan, {&low, &high}, pool};
   sharded.runEpoch();
   sharded.runEpoch();
 
@@ -120,6 +122,57 @@ TEST(ShardedSimulationTest, MergesAndRoutesEnvelopesInCanonicalOrder) {
   EXPECT_EQ(arrived[2].seq, 0u);
   EXPECT_EQ(arrived[3].srcSegment, 3u);
   EXPECT_EQ(arrived[3].seq, 1u);
+}
+
+/// Runs its epochs as told: `fails` makes runEpoch throw "shard <s>".
+class ThrowingWorld final : public shard::ShardWorld {
+ public:
+  ThrowingWorld(std::uint32_t shard, bool fails)
+      : shard_{shard}, fails_{fails} {}
+
+  void runEpoch(std::uint32_t, std::span<const shard::Envelope>,
+                std::vector<shard::Envelope>&) override {
+    ++epochsRun_;
+    if (fails_) throw std::runtime_error{"shard " + std::to_string(shard_)};
+  }
+
+  [[nodiscard]] std::uint32_t epochsRun() const { return epochsRun_; }
+
+ private:
+  std::uint32_t shard_;
+  bool fails_;
+  std::uint32_t epochsRun_{0};
+};
+
+TEST(ShardedSimulationTest, LowestShardExceptionWinsAfterEveryShardStops) {
+  sim::ThreadPool pool{3};
+  const shard::ShardPlan plan = shard::ShardPlan::contiguous(3, 3);
+  ThrowingWorld healthy{0, false};
+  ThrowingWorld low{1, true};
+  ThrowingWorld high{2, true};
+  shard::ShardedSimulation sharded{plan, {&healthy, &low, &high}, pool};
+  obs::MemoryRecorder recorder;
+  const obs::ScopedTraceRecorder scoped{&recorder};
+  try {
+    sharded.runEpoch();
+    FAIL() << "expected shard 1's exception to propagate";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "shard 1");
+  }
+  // Every shard ran its epoch; the suppressed failure of shard 2 is traced
+  // on the coordinating thread; the failed epoch does not count.
+  EXPECT_EQ(healthy.epochsRun(), 1u);
+  EXPECT_EQ(low.epochsRun(), 1u);
+  EXPECT_EQ(high.epochsRun(), 1u);
+  ASSERT_EQ(recorder.size(), 1u);
+  const obs::TraceEvent& traced = recorder.events().front();
+  EXPECT_EQ(traced.kind, obs::EventKind::kParallel);
+  EXPECT_EQ(traced.op,
+            static_cast<std::uint8_t>(obs::ParallelOp::kWorkerFailure));
+  EXPECT_EQ(traced.value, 2u);
+  EXPECT_EQ(traced.detail, "shard 2");
+  EXPECT_EQ(sharded.epoch(), 0u);
+  EXPECT_EQ(sharded.stats().epochsRun, 0u);
 }
 
 // ------------------------------------------------- detector session moves
@@ -284,12 +337,12 @@ scenario::CorridorConfig tinyCorridor() {
 }
 
 TEST(CorridorWorldTest, ShardCountIsUnobservable) {
-  const sim::ParallelRunner runner{4};
+  sim::ThreadPool pool{4};
   const scenario::CorridorConfig config = tinyCorridor();
 
-  scenario::CorridorWorld mono{config, 1, runner.threadPool()};
+  scenario::CorridorWorld mono{config, 1, pool};
   mono.run(4);
-  scenario::CorridorWorld quad{config, 4, runner.threadPool()};
+  scenario::CorridorWorld quad{config, 4, pool};
   quad.run(4);
 
   // Byte-identical: the partition must be unobservable on both
@@ -331,11 +384,11 @@ TEST(CorridorWorldTest, ShardCountIsUnobservable) {
 TEST(CorridorWorldTest, OddPartitionMatchesToo) {
   // 4 segments across 3 shards: uneven regions (2 + 1 + 1) must not leak
   // into the deterministic surfaces either.
-  const sim::ParallelRunner runner{3};
+  sim::ThreadPool pool{3};
   const scenario::CorridorConfig config = tinyCorridor();
-  scenario::CorridorWorld mono{config, 1, runner.threadPool()};
+  scenario::CorridorWorld mono{config, 1, pool};
   mono.run(3);
-  scenario::CorridorWorld tri{config, 3, runner.threadPool()};
+  scenario::CorridorWorld tri{config, 3, pool};
   tri.run(3);
   EXPECT_EQ(mono.metricsJson(), tri.metricsJson());
   EXPECT_EQ(mono.canonicalLog(), tri.canonicalLog());
@@ -345,11 +398,11 @@ TEST(CorridorWorldTest, CooperativePairIsCaughtOnOneAndThreeShards) {
   // The corridor runs the paper's ladder: RREQ₁, RREQ₂ with a next-hop
   // inquiry, then the named teammate. Both partitions must log the same
   // cooperative verdict, isolate both attackers, and no honest vehicle.
-  const sim::ParallelRunner runner{3};
+  sim::ThreadPool pool{3};
   const scenario::CorridorConfig config = tinyCorridor();
-  scenario::CorridorWorld mono{config, 1, runner.threadPool()};
+  scenario::CorridorWorld mono{config, 1, pool};
   mono.run(6);
-  scenario::CorridorWorld tri{config, 3, runner.threadPool()};
+  scenario::CorridorWorld tri{config, 3, pool};
   tri.run(6);
   EXPECT_EQ(mono.metricsJson(), tri.metricsJson());
   EXPECT_EQ(mono.canonicalLog(), tri.canonicalLog());

@@ -27,6 +27,7 @@
 #include "campaign/runner.hpp"
 #include "metrics/table.hpp"
 #include "number_arg.hpp"
+#include "sim/thread_pool.hpp"
 
 namespace {
 
@@ -96,7 +97,7 @@ int main(int argc, char** argv) {
       return tools::numberArg(arg, value(), min, max, usage);
     };
     if (arg == "--jobs") {
-      options.jobs = static_cast<unsigned>(number(0, tools::kMaxJobs));
+      options.jobs = static_cast<unsigned>(number(0, sim::kMaxJobs));
     } else if (arg == "--out") {
       options.outDir = value();
     } else if (arg == "--trials") {

@@ -11,9 +11,6 @@
 
 namespace blackdp::tools {
 
-/// The largest --jobs a tool accepts (0 = BLACKDP_JOBS / hardware default).
-inline constexpr std::uint64_t kMaxJobs = 1024;
-
 /// The value `text` of `flag` when it is one whole decimal token (no sign,
 /// blank or trailing character) in [min, max]. Anything else exits the
 /// process with `usage(problem)`, which prints the problem and the tool's

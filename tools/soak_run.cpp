@@ -38,7 +38,7 @@
 #include "obs/trace_io.hpp"
 #include "scenario/corridor_world.hpp"
 #include "scenario/stream_world.hpp"
-#include "sim/parallel.hpp"
+#include "sim/thread_pool.hpp"
 #include "soak/chaos_soak.hpp"
 #include "soak/epoch_soak.hpp"
 
@@ -218,7 +218,7 @@ int main(int argc, char** argv) {
       shards = count();
       readers = kMegacity;
     } else if (arg == "--jobs") {
-      jobs = static_cast<unsigned>(number(0, blackdp::tools::kMaxJobs));
+      jobs = static_cast<unsigned>(number(0, blackdp::sim::kMaxJobs));
       readers = kChaos | kMegacity;
     } else if (arg == "--trace") {
       tracePath = value();
@@ -271,13 +271,15 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  const blackdp::sim::ParallelRunner runner{jobs};
+  if (mode == kStream) {
+    return runEpochMode(blackdp::soak::streamSoakWorld(
+                            stream, trace.is_open() ? &trace : nullptr),
+                        epochOptions, jsonPath, surfacesPath);
+  }
+  blackdp::sim::ThreadPool pool{blackdp::sim::resolveJobCount(jobs)};
   return runEpochMode(
-      mode == kStream ? blackdp::soak::streamSoakWorld(
-                            stream, trace.is_open() ? &trace : nullptr)
-      : mode == kMegacity
-          ? blackdp::soak::corridorSoakWorld(corridor, shards,
-                                             runner.threadPool())
-          : blackdp::soak::chaosSoakWorld(chaos, runner.threadPool()),
+      mode == kMegacity
+          ? blackdp::soak::corridorSoakWorld(corridor, shards, pool)
+          : blackdp::soak::chaosSoakWorld(chaos, pool),
       epochOptions, jsonPath, surfacesPath);
 }
